@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import gzip
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, List, Optional
 
@@ -25,8 +26,9 @@ def parse_libsvm_line(line: str, line_no: int = 0) -> Optional[SparseExample]:
 
     Labels map {1, +1} to +1 and {0, -1} to -1. Feature indices are 1-based
     and strictly ascending on disk and are shifted to 0-based; zero-valued
-    entries are dropped. Blank lines yield None. Anything else raises
-    :class:`LibsvmFormatError` pointing at the offending token.
+    entries are dropped. Blank lines yield None. Anything else, including
+    a NaN or infinite value, raises :class:`LibsvmFormatError` pointing at
+    the offending token.
     """
     tokens = line.split()
     if not tokens:
@@ -55,6 +57,11 @@ def parse_libsvm_line(line: str, line_no: int = 0) -> Optional[SparseExample]:
         if v != 0.0:
             idx.append(i - 1)
             vals.append(v)
+    # any NaN or infinity makes the sum non-finite; so can overflow, hence the rescan
+    if not math.isfinite(sum(vals)):
+        for pos, tok in enumerate(tokens[1:], start=2):
+            if not math.isfinite(float(tok.partition(":")[2])):
+                raise LibsvmFormatError(f"non-finite value at token {pos}: {tok!r}", line_no)
     return SparseExample(label, np.asarray(idx, dtype=np.int64), np.asarray(vals, dtype=np.float64))
 
 

@@ -24,7 +24,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from .core import DenseVector, SparseExample, sparse_dot
-from .topb import Outcome, TopBTracker
+from .topb import TopBTracker
 
 ALGOS = ("sofs", "pet", "fofs", "ogd", "arow")
 BUDGETED = frozenset({"sofs", "pet", "fofs"})
@@ -158,58 +158,31 @@ class ArowModel(_SecondOrder):
 class SofsModel(_SecondOrder):
     """Second-order learner that keeps only the B most confident features.
 
-    After the closed-form update, every touched coordinate offers its new
-    covariance to a bounded max-heap tracker; weights of features that the
-    tracker rejects or evicts are zeroed. A feature that later re-enters
-    restarts from weight zero. At most ``budget`` weights are ever nonzero.
+    After the closed-form update, a :class:`TopBTracker` keeps the B
+    features with the smallest covariance, ties to the lower index, among
+    those kept and those just touched, and the weights of all others are
+    zeroed. A feature that later re-enters restarts from weight zero. At
+    most ``budget`` weights are ever nonzero. An update costs O(m), plus
+    O(B + k) when k touched features reach the tracker's bound.
     """
 
     algo = "sofs"
 
     def __init__(self, budget: int, gamma: float = 1.0):
         super().__init__(gamma=gamma)
-        self.tracker = TopBTracker(budget)
+        sigma = self.sigma
+        self.tracker = TopBTracker(budget, lambda ix: sigma.array[ix])
         self.budget = int(budget)
 
     def update(self, ex: SparseExample) -> float:
         y = ex.label
         margin = self._grown_margin(ex)
-        if y * margin >= 1.0:
+        if y * margin >= 1.0 or len(ex.indices) == 0:
             return margin
-        idx = ex.indices
-        if len(idx) == 0:
-            return margin
-        new_sig = self._arow_step(idx, ex.values, y, margin)
-
-        tracker = self.tracker
-        offer = tracker.offer
-        mu = self.mu.array
-        pending = []
-        # Refresh the tracked coordinates first so the admission decisions
-        # below compare against current covariance values, not stale ones.
-        for j, v in zip(idx.tolist(), new_sig.tolist()):
-            if tracker.contains(j):
-                offer(j, v)
-            else:
-                pending.append((j, v))
-        if pending:
-            root = tracker.limit()
-            if root is not None:
-                # The threshold only moves down within an example, so
-                # anything at or above the current root can never get in.
-                candidates = []
-                for j, v in pending:
-                    if v >= root:
-                        mu[j] = 0.0
-                    else:
-                        candidates.append((j, v))
-                pending = candidates
-            for j, v in pending:
-                out, evicted = offer(j, v)
-                if out is Outcome.REJECTED:
-                    mu[j] = 0.0
-                elif evicted is not None:
-                    mu[evicted] = 0.0
+        new_sig = self._arow_step(ex.indices, ex.values, y, margin)
+        dropped = self.tracker.select(ex.indices, new_sig)
+        if len(dropped):
+            self.mu.array[dropped] = 0.0
         return margin
 
 
@@ -234,7 +207,12 @@ class FirstOrderModel(OnlineLearner):
 
 
 class PetModel(FirstOrderModel):
-    """Perceptron with truncation: gradient step on mistakes, keep top B."""
+    """Perceptron with truncation: gradient step on mistakes, keep top B.
+
+    The B largest magnitudes, ties to the lower index, are kept by a
+    :class:`TopBTracker` scoring by -|w| over the kept and the touched
+    features, the same result as :func:`truncate` in O(m + B) per mistake.
+    """
 
     algo = "pet"
 
@@ -242,13 +220,18 @@ class PetModel(FirstOrderModel):
         if budget is None or budget < 1:
             raise ValueError("pet requires a selection budget B >= 1")
         super().__init__(eta=eta, budget=int(budget))
+        w = self.w
+        self.tracker = TopBTracker(self.budget, lambda ix: -np.abs(w.array[ix]))
 
     def update(self, ex: SparseExample) -> float:
         margin = self._grown_margin(ex)
         y = ex.label
         if (1 if margin >= 0.0 else -1) != y:
-            self.w.array[ex.indices] += self.eta * y * ex.values
-            truncate(self.w, self.budget)
+            a = self.w.array
+            a[ex.indices] += self.eta * y * ex.values
+            dropped = self.tracker.select(ex.indices)
+            if len(dropped):
+                a[dropped] = 0.0
         return margin
 
 
@@ -387,7 +370,6 @@ def load_model(path) -> OnlineLearner:
         if isinstance(model, OgdModel):
             model.t = int(params.get("t", 0))
         second = isinstance(model, _SecondOrder)
-        touched = []
         for line in fh:
             parts = line.split()
             if not parts:
@@ -395,14 +377,12 @@ def load_model(path) -> OnlineLearner:
             j = int(parts[0])
             if second:
                 model.mu[j] = float(parts[1])
-                s = float(parts[2])
-                model.sigma[j] = s
-                touched.append((s, j))
+                model.sigma[j] = float(parts[2])
             else:
                 model.w[j] = float(parts[1])
-    if isinstance(model, SofsModel):
-        # the tracker holds the budget smallest covariance values among the
-        # touched coordinates; rebuild it deterministically, lowest first
-        for s, j in sorted(touched)[: model.budget]:
-            model.tracker.offer(j, s)
+    if isinstance(model, (SofsModel, PetModel)):
+        # rebuild the kept set by the learner's own rule over the stored features
+        w = model.weights.array
+        stored = (w != 0.0) | (model.sigma.array != 1.0) if second else w != 0.0
+        w[model.tracker.select(np.flatnonzero(stored))] = 0.0
     return model

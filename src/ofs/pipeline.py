@@ -357,6 +357,7 @@ def benchmark_sweep(
 ) -> List[RunReport]:
     """Train and evaluate every (algo, budget, repeat) combination.
 
+    Learners without a budget train once per repeat and report B = 0.
     Repeat r re-permutes the training data with seed ``base_seed + r``; the
     permutation is shared by every algorithm and budget in that repeat so
     comparisons are paired. Sparsity is measured against the declared
@@ -371,10 +372,10 @@ def benchmark_sweep(
         seed = base_seed + r
         ptrain = source.permuted(seed)
         for algo in algos:
-            for budget in budgets:
+            for budget in budgets if algo in BUDGETED else (0,):
                 learner = make_learner(
                     algo,
-                    budget=budget if algo in BUDGETED else None,
+                    budget=budget or None,
                     gamma=gamma,
                     eta=eta,
                     lam=lam,

@@ -1,16 +1,27 @@
-"""Bounded max-heap over the smallest confidence values offered so far.
+"""Keeps the B best-scoring features among those kept and those just touched.
 
-The tracker keeps at most ``capacity`` (feature, value) entries together
-with an O(1) membership map from feature index to heap slot. Offered values
-for an already tracked feature may only decrease; that one-way traffic is
-what keeps maintenance cheap. Shrinking a max-heap entry can only break the
-heap property toward the leaves, so a single sift-down repairs it, and the
-admission threshold at the root only ever moves down within a stream.
+Scores are smaller-is-better and ties go to the lower index: ``sofs``
+scores a feature by its covariance σ, ``pet`` by -|w|. The kept set is a
+dense bool mask plus an index buffer of capacity B, with a cached upper
+bound on the worst kept score. An update reads scores only at kept and
+touched features, never over all d. Usually that is O(m) numpy work:
+touched kept features need nothing, and touched outsiders worse than the
+bound are dropped at once. Only an outsider reaching the bound costs one
+partition over the B + k candidates, which also refreshes the bound; while
+the set fills, outsiders are appended.
+
+Untouched outsiders are never reconsidered. That is exact when kept scores
+only improve (σ), or when outsiders score the worst possible (-|w| of a
+zero weight); kept scores that get worse raise the bound.
 """
 from __future__ import annotations
 
 from enum import Enum
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
+
+import numpy as np
+
+from .core import DenseVector
 
 
 class Outcome(Enum):
@@ -23,133 +34,142 @@ class Outcome(Enum):
 
 
 class TopBTracker:
-    """Tracks the ``capacity`` features with the smallest offered values.
+    """Tracks the ``capacity`` features first in (score, index) order.
 
-    Population is lazy: only features that have been offered occupy slots,
-    and everything is admitted until the heap is full. Once full, a new
-    feature displaces the current maximum only if its value is strictly
-    smaller; ties keep the incumbent.
+    ``score`` maps an index array to the current scores of those features;
+    the tracker calls it for kept features only when the kept set may
+    change. Without one, a feature's score is the last value passed for it
+    to :meth:`select` or :meth:`offer`.
     """
 
-    __slots__ = ("capacity", "_vals", "_keys", "_slot", "comparisons")
+    __slots__ = ("capacity", "score", "_offered", "_mask", "_keys", "_n", "_bound")
 
-    def __init__(self, capacity: int):
+    def __init__(self, capacity: int, score: Optional[Callable[[np.ndarray], np.ndarray]] = None):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = int(capacity)
-        self._vals: List[float] = []
-        self._keys: List[int] = []
-        self._slot: Dict[int, int] = {}
-        # running count of value comparisons, for complexity checks
-        self.comparisons = 0
+        self._offered = None
+        if score is None:
+            offered = self._offered = DenseVector(fill=np.inf)
+            score = lambda ix: offered.array[ix]
+        self.score = score
+        self._mask = np.zeros(0, dtype=bool)
+        self._keys = np.empty(self.capacity, dtype=np.int64)
+        self._n = 0
+        # at least the worst kept score once full; None while filling
+        self._bound: Optional[float] = None
 
     def __len__(self) -> int:
-        return len(self._vals)
+        return self._n
 
     def contains(self, idx: int) -> bool:
-        return idx in self._slot
+        return 0 <= idx < len(self._mask) and bool(self._mask[idx])
 
     __contains__ = contains
 
     def value_of(self, idx: int) -> float:
-        return self._vals[self._slot[idx]]
+        if not self.contains(idx):
+            raise KeyError(idx)
+        return float(self.score(np.array([idx]))[0])
 
     def limit(self) -> Optional[float]:
-        """Current admission threshold: the root value once the heap is full.
-
-        While the heap is below capacity there is no threshold (everything
-        is admitted) and None is returned.
-        """
-        if len(self._vals) < self.capacity:
+        """The worst kept score once the set is full, else None."""
+        if self._n < self.capacity:
             return None
-        return self._vals[0]
+        return float(self.score(self._keys).max())
 
     def indices(self) -> List[int]:
-        return list(self._keys)
+        return self._keys[: self._n].tolist()
 
     def items(self) -> List[Tuple[int, float]]:
-        return list(zip(self._keys, self._vals))
+        keys = self._keys[: self._n]
+        return list(zip(keys.tolist(), self.score(keys).tolist()))
+
+    def select(self, idx: np.ndarray, scores: Optional[np.ndarray] = None) -> np.ndarray:
+        """Keep the B first in (score, index) order among kept and ``idx``.
+
+        ``idx`` holds strictly increasing feature indices and ``scores``
+        their current scores, read through ``score`` when not given.
+        Returns the indices that are not kept after the call, among ``idx``
+        and the features kept before it: the caller zeroes their weights.
+        """
+        if len(idx) == 0:
+            return idx
+        if scores is None:
+            scores = self.score(idx)
+        elif self._offered is not None:
+            self._offered.ensure(int(idx[-1]) + 1)
+            self._offered.array[idx] = scores
+        if idx[-1] >= len(self._mask):
+            self._grow(int(idx[-1]) + 1)
+        inside = self._mask[idx]
+        bound = self._bound
+        if bound is not None:
+            worse = scores > bound
+            if np.count_nonzero(worse != inside) == len(idx):
+                # every outsider is worse than the bound, no kept score rose above it
+                return idx[worse]
+            if inside.any():
+                bound = self._bound = max(bound, float(scores[inside].max()))
+        out = ~inside
+        new, s = idx[out], scores[out]
+        if bound is None:
+            if self._n + len(new) <= self.capacity:
+                self._append(new)
+                return new[:0]
+            return self._reselect(new, s)
+        near = s <= bound
+        if not near.any():
+            return new
+        return np.concatenate((new[~near], self._reselect(new[near], s[near])))
 
     def offer(self, idx: int, value: float) -> Tuple[Outcome, Optional[int]]:
-        """Feed one (feature, value) observation to the tracker.
+        """One-feature form of :meth:`select`.
 
         Returns the outcome plus the evicted feature index when admission
-        displaced one. Offering a larger value for a tracked feature is a
-        contract violation and raises ``ValueError``.
+        displaced one.
         """
-        pos = self._slot.get(idx)
-        if pos is not None:
-            self.comparisons += 1
-            if value > self._vals[pos]:
-                raise ValueError(
-                    f"tracked value for feature {idx} increased "
-                    f"({self._vals[pos]} -> {value}); offers must be non-increasing"
-                )
-            self._vals[pos] = value
-            self._sift_down(pos)
+        kept = self.contains(idx)
+        dropped = self.select(np.array([idx], dtype=np.int64), np.array([value], dtype=np.float64))
+        if kept:
             return Outcome.ADJUSTED_IN_PLACE, None
-        n = len(self._vals)
-        if n < self.capacity:
-            self._vals.append(value)
-            self._keys.append(idx)
-            self._slot[idx] = n
-            self._sift_up(n)
-            return Outcome.ADMITTED, None
-        self.comparisons += 1
-        if value < self._vals[0]:
-            evicted = self._keys[0]
-            del self._slot[evicted]
-            self._vals[0] = value
-            self._keys[0] = idx
-            self._slot[idx] = 0
-            self._sift_down(0)
-            return Outcome.ADMITTED_EVICTING, evicted
-        return Outcome.REJECTED, None
+        if not self.contains(idx):
+            return Outcome.REJECTED, None
+        if len(dropped):
+            return Outcome.ADMITTED_EVICTING, int(dropped[0])
+        return Outcome.ADMITTED, None
 
-    def _sift_down(self, pos: int) -> None:
-        vals = self._vals
-        keys = self._keys
-        slot = self._slot
-        n = len(vals)
-        v = vals[pos]
-        k = keys[pos]
-        child = 2 * pos + 1
-        while child < n:
-            right = child + 1
-            if right < n:
-                self.comparisons += 1
-                if vals[right] > vals[child]:
-                    child = right
-            self.comparisons += 1
-            if vals[child] <= v:
-                break
-            vals[pos] = vals[child]
-            keys[pos] = keys[child]
-            slot[keys[pos]] = pos
-            pos = child
-            child = 2 * pos + 1
-        vals[pos] = v
-        keys[pos] = k
-        slot[k] = pos
+    def _grow(self, n: int) -> None:
+        # doubles, as the state vectors do, so growth is amortised O(1) per cell
+        mask = np.zeros(max(2 * len(self._mask), n), dtype=bool)
+        mask[: len(self._mask)] = self._mask
+        self._mask = mask
 
-    def _sift_up(self, pos: int) -> None:
-        vals = self._vals
-        keys = self._keys
-        slot = self._slot
-        v = vals[pos]
-        k = keys[pos]
-        while pos > 0:
-            parent = (pos - 1) >> 1
-            self.comparisons += 1
-            if vals[parent] >= v:
-                break
-            vals[pos] = vals[parent]
-            keys[pos] = keys[parent]
-            slot[keys[pos]] = pos
-            pos = parent
-        vals[pos] = v
-        keys[pos] = k
-        slot[k] = pos
+    def _append(self, new: np.ndarray) -> None:
+        n = self._n + len(new)
+        self._keys[self._n : n] = new
+        self._mask[new] = True
+        self._n = n
+        if n == self.capacity:
+            self._bound = float(self.score(self._keys).max())
+
+    def _reselect(self, new: np.ndarray, s: np.ndarray) -> np.ndarray:
+        keys = self._keys[: self._n]
+        cand = np.concatenate((keys, new))
+        cs = np.concatenate((self.score(keys), s))
+        b = self.capacity
+        cut = np.partition(cs, b - 1)[b - 1]
+        keep = cs < cut
+        ties = np.flatnonzero(cs == cut)
+        short = b - int(np.count_nonzero(keep))
+        if len(ties) > short:
+            ties = ties[np.argpartition(cand[ties], short - 1)[:short]]
+        keep[ties] = True
+        self._mask[cand] = keep
+        self._keys[:] = cand[keep]
+        self._n = b
+        self._bound = float(cut)
+        return cand[~keep]
 
     def __repr__(self) -> str:
-        return f"TopBTracker(capacity={self.capacity}, size={len(self._vals)})"
+        return f"TopBTracker(capacity={self.capacity}, size={self._n})"

@@ -6,7 +6,7 @@ from typing import List
 import numpy as np
 
 from ofs.core import SparseExample
-from ofs.learners import ArowModel
+from ofs.learners import ArowModel, FirstOrderModel, truncate
 
 
 def random_example(rng: np.random.Generator, d: int, max_nnz: int = 12) -> SparseExample:
@@ -21,6 +21,15 @@ def random_example(rng: np.random.Generator, d: int, max_nnz: int = 12) -> Spars
 
 def random_stream(rng: np.random.Generator, n: int, d: int, max_nnz: int = 12) -> List[SparseExample]:
     return [random_example(rng, d, max_nnz) for _ in range(n)]
+
+
+def tied_stream(rng: np.random.Generator, n: int, d: int, m: int) -> List[SparseExample]:
+    """n examples with m nonzeros each, every value 1.0: covariances tie."""
+    ones = np.ones(m)
+    return [
+        SparseExample(int(rng.integers(0, 2)) * 2 - 1, np.sort(rng.choice(d, size=m, replace=False)), ones)
+        for _ in range(n)
+    ]
 
 
 def bulk_stream(rng: np.random.Generator, n: int, d: int, m: int) -> List[SparseExample]:
@@ -71,4 +80,22 @@ class SortSelectSofs:
             sig = self.inner.sigma.array[touched]
             order = np.argsort(sig, kind="stable")  # ties keep the lower index
             self.inner.mu.array[touched[order[self.budget :]]] = 0.0
+        return margin
+
+
+class TruncatePet(FirstOrderModel):
+    """Reference for ``pet``: the same mistake step, then the dense O(d)
+    :func:`truncate` over every coordinate instead of the tracker."""
+
+    algo = "pet"
+
+    def __init__(self, budget: int, eta: float = 0.2):
+        super().__init__(eta=eta, budget=int(budget))
+
+    def update(self, ex: SparseExample) -> float:
+        margin = self._grown_margin(ex)
+        y = ex.label
+        if (1 if margin >= 0.0 else -1) != y:
+            self.w.array[ex.indices] += self.eta * y * ex.values
+            truncate(self.w, self.budget)
         return margin

@@ -95,6 +95,21 @@ class TestDataErrors:
         assert code == 1
         assert "line 2" in err
 
+    def test_non_finite_value_exits_one(self, tmp_path, capsys):
+        data = tmp_path / "nan.svm"
+        data.write_text("+1 1:1.0\n-1 1:nan 2:inf 3:-inf\n")
+        code, _, err = run(
+            capsys,
+            "train",
+            "--algo", "sofs",
+            "--B", "2",
+            "--data", str(data),
+            "--model", str(tmp_path / "m"),
+        )
+        assert code == 1
+        assert err.startswith("ofs: ")
+        assert "line 2" in err and "'1:nan'" in err
+
     def test_empty_eval_exits_one(self, tmp_path, capsys):
         data = tmp_path / "d.svm"
         data.write_text("+1 1:1\n")

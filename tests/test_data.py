@@ -67,6 +67,20 @@ class TestParseLine:
             parse_libsvm_line("+1 5:1 5:2")
 
 
+    @pytest.mark.parametrize("tok,pos", [("1:nan", 2), ("2:inf", 3), ("3:-inf", 4), ("4:1e999", 5)])
+    def test_non_finite_value_rejected(self, tok, pos):
+        body = ["1:0.5", "2:1", "3:2", "4:3"]
+        body[pos - 2] = tok
+        with pytest.raises(LibsvmFormatError) as info:
+            parse_libsvm_line("+1 " + " ".join(body), line_no=4)
+        assert f"token {pos}: {tok!r}" in str(info.value)
+        assert "line 4" in str(info.value)
+
+    def test_finite_values_overflowing_a_sum_accepted(self):
+        ex = parse_libsvm_line("+1 1:1e308 2:1e308")
+        assert list(ex.pairs()) == [(0, 1e308), (1, 1e308)]
+
+
 class TestReadWrite:
     def roundtrip(self, path, examples):
         write_libsvm(examples, path)

@@ -14,7 +14,9 @@ from ofs.learners import (
     truncate,
 )
 
-from helpers import SortSelectSofs, random_stream
+from hypothesis import given, settings, strategies as st
+
+from helpers import SortSelectSofs, TruncatePet, random_stream, tied_stream
 
 
 def ex(label, *pairs):
@@ -164,6 +166,17 @@ class TestSofs:
                 assert sofs.update(x) == ref.update(x)
                 assert sofs.mu.to_list() == ref.weights.to_list()
 
+    @pytest.mark.parametrize("budget", [1, 5, 20])
+    def test_tied_values_match_sort_reference(self, budget):
+        # every value 1.0, so covariances tie all the time; ties go to the
+        # lower index in the learner and in the reference alike
+        rng = np.random.default_rng(30 + budget)
+        sofs = SofsModel(budget=budget)
+        ref = SortSelectSofs(budget=budget)
+        for x in tied_stream(rng, 1500, 200, 8):
+            assert sofs.update(x) == ref.update(x)
+            assert np.array_equal(sofs.mu.array, ref.weights.array)
+
     def test_touches_only_example_and_evicted_coordinates(self):
         rng = np.random.default_rng(17)
         m = SofsModel(budget=5)
@@ -230,6 +243,26 @@ class TestPet:
     def test_requires_budget(self):
         with pytest.raises(ValueError):
             PetModel(budget=None)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        budget=st.sampled_from([1, 5, 20]),
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(2, 150),
+        max_nnz=st.integers(1, 12),
+        ties=st.booleans(),
+    )
+    def test_equals_dense_truncate(self, budget, seed, d, max_nnz, ties):
+        # the tracker over kept and touched features gives the same weights,
+        # bit for bit, as truncating the whole vector after every mistake
+        rng = np.random.default_rng(seed)
+        stream = random_stream(rng, 300, d, max_nnz)
+        if ties:  # magnitudes from a few levels, so they tie at the cutoff
+            stream = [ex(x.label, *zip(x.indices.tolist(), np.sign(x.values).tolist())) for x in stream]
+        pet, ref = PetModel(budget=budget), TruncatePet(budget=budget)
+        for x in stream:
+            assert pet.update(x) == ref.update(x)
+            assert np.array_equal(pet.w.array, ref.w.array)
 
 
 class TestFofs:
@@ -351,6 +384,23 @@ class TestPersistence:
         for x in stream[300:]:
             assert loaded.update(x) == m.update(x)
         assert loaded.mu.to_list() == m.mu.to_list()
+
+    @pytest.mark.parametrize("algo", ["sofs", "pet"])
+    def test_tied_resume_is_bit_equal(self, algo, tmp_path):
+        # with tied scores, the kept set rebuilt on load must follow the
+        # learner's own (score, index) rule, or resuming changes the result
+        rng = np.random.default_rng(25)
+        stream = tied_stream(rng, 3000, 200, 8)
+        m = make_learner(algo, budget=20)
+        for x in stream[:1500]:
+            m.update(x)
+        path = tmp_path / "model.txt"
+        save_model(m, path)
+        loaded = load_model(path)
+        assert loaded.selected_indices() == m.selected_indices()
+        for x in stream[1500:]:
+            assert loaded.update(x) == m.update(x)
+        assert np.array_equal(loaded.weights.array, m.weights.array)
 
     def test_header_format(self, tmp_path):
         m = SofsModel(budget=3, gamma=1.0)

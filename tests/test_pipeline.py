@@ -202,6 +202,16 @@ class TestSweep:
             assert 0.0 <= r.sparsity_pct <= 100.0
             assert r.n_train == 600
 
+    def test_dense_baseline_once_per_repeat(self):
+        train, test = self.desk_data(seed=53)
+        reports = benchmark_sweep(["sofs", "ogd"], [10, 20, 50], train, test, repeats=2, threads=1)
+        ogd = [r for r in reports if r.algo == "ogd"]
+        assert len(ogd) == 2
+        assert [r.budget for r in ogd] == [0, 0]
+        assert sorted((r.budget, r.seed) for r in reports if r.algo == "sofs") == [
+            (b, s) for b in (10, 20, 50) for s in (0, 1)
+        ]
+
     def test_deterministic_modulo_timing(self):
         train, test = self.desk_data(seed=51)
         a = benchmark_sweep(["sofs"], [15], train, test, repeats=2, base_seed=7, threads=1)

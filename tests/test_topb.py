@@ -47,14 +47,20 @@ class TestOffer:
         t.offer(1, 0.9)
         t.offer(2, 0.8)
         assert t.offer(4, 0.95) == (Outcome.REJECTED, None)
-        assert t.offer(4, 0.9) == (Outcome.REJECTED, None)  # tie keeps incumbent
+        assert t.offer(4, 0.9) == (Outcome.REJECTED, None)  # tie at 0.9: index 1 < 4 stays
         assert t.contains(1)
 
-    def test_monotonic_violation_raises(self):
+    def test_worse_kept_value_raises_bound(self):
+        # scores of kept features may get worse (pet's -|w| does); the bound
+        # follows, so a later offer still evicts the true worst
         t = TopBTracker(2)
         t.offer(1, 0.5)
-        with pytest.raises(ValueError):
-            t.offer(1, 0.6)
+        t.offer(2, 0.4)
+        assert t.offer(2, 0.9) == (Outcome.ADJUSTED_IN_PLACE, None)
+        assert t.limit() == 0.9
+        check_state(t)
+        assert t.offer(3, 0.7) == (Outcome.ADMITTED_EVICTING, 2)
+        assert sorted(t.indices()) == [1, 3]
 
     def test_contains_lifecycle(self):
         t = TopBTracker(1)
@@ -86,14 +92,21 @@ class TestLimit:
         assert t.limit() == 0.8
 
 
-def check_heap_and_slots(t: TopBTracker):
-    vals = t._vals
-    keys = t._keys
-    assert len(vals) == len(keys) == len(t._slot)
-    for pos in range(1, len(vals)):
-        assert vals[(pos - 1) >> 1] >= vals[pos]
-    for pos, key in enumerate(keys):
-        assert t._slot[key] == pos
+def check_state(t: TopBTracker):
+    """The mask marks exactly the kept buffer, and the cached bound covers
+    the worst kept score once the set is full."""
+    kept = t._keys[: t._n]
+    assert t._n == len(t) <= t.capacity
+    assert len(set(kept.tolist())) == t._n
+    assert np.array_equal(np.flatnonzero(t._mask), np.sort(kept))
+    if t._n == t.capacity:
+        assert t._bound is not None and t._bound >= t.limit()
+    else:
+        assert t._bound is None
+
+
+def value_index_order(current):
+    return sorted(current, key=lambda j: (current[j], j))
 
 
 class TestAgainstSortOracle:
@@ -115,7 +128,7 @@ class TestAgainstSortOracle:
                     value = float(rng.uniform(0.01, 1.0))
                 out, evicted = t.offer(idx, value)
                 current[idx] = value
-                check_heap_and_slots(t)
+                check_state(t)
                 if evicted is not None:
                     assert out is Outcome.ADMITTED_EVICTING
                 # kept set == B smallest of the latest offered values; the
@@ -137,20 +150,54 @@ class TestAgainstSortOracle:
             expect = set(order[:capacity].tolist())
             assert set(t.indices()) == expect
 
+    @pytest.mark.parametrize("capacity", [1, 2, 5, 16])
+    def test_tied_values_match_value_index_sort(self, capacity):
+        # values from a four-element set tie all the time; the kept set must
+        # be the first B by (value, index), whether offered one at a time or
+        # as one sorted batch
+        levels = [0.125, 0.25, 0.5, 1.0]
+        rng = np.random.default_rng(200 + capacity)
+        for trial in range(100):
+            t = TopBTracker(capacity)
+            current = {}
+            universe = int(rng.integers(max(2, capacity), 40))
+            for _ in range(int(rng.integers(1, 120))):
+                k = int(rng.integers(1, 6))
+                batch = np.sort(rng.choice(universe, size=min(k, universe), replace=False))
+                vals = []
+                for j in batch.tolist():
+                    top = levels.index(current[j]) + 1 if j in t else len(levels)
+                    vals.append(levels[int(rng.integers(0, top))])
+                if len(batch) == 1:
+                    t.offer(int(batch[0]), vals[0])
+                else:
+                    t.select(batch.astype(np.int64), np.array(vals))
+                current.update(zip(batch.tolist(), vals))
+                check_state(t)
+                assert sorted(t.indices()) == sorted(value_index_order(current)[:capacity])
 
-class TestComparisonBound:
-    def test_per_offer_comparisons_logarithmic(self):
+
+class TestState:
+    def test_mask_buffer_and_bound_under_churn(self):
+        # kept scores that improve (sofs) and that get worse (pet) alike
         for capacity in (1, 2, 5, 16, 64):
-            # ceil(log2(capacity + 1)) == capacity.bit_length()
-            bound = 2 * capacity.bit_length() + 2
             rng = np.random.default_rng(capacity)
             t = TopBTracker(capacity)
             for _ in range(2000):
                 idx = int(rng.integers(0, 200))
                 if idx in t:
-                    value = t.value_of(idx) * 0.9
+                    value = t.value_of(idx) * float(rng.uniform(0.5, 1.5))
                 else:
                     value = float(rng.uniform(0.01, 1.0))
-                before = t.comparisons
                 t.offer(idx, value)
-                assert t.comparisons - before <= bound
+                check_state(t)
+
+    def test_dropped_are_exactly_those_that_left(self):
+        rng = np.random.default_rng(5)
+        t = TopBTracker(8)
+        for _ in range(500):
+            before = set(t.indices())
+            idx = np.sort(rng.choice(100, size=int(rng.integers(1, 12)), replace=False))
+            dropped = t.select(idx.astype(np.int64), rng.uniform(0.0, 1.0, size=len(idx)))
+            after = set(t.indices())
+            assert sorted(dropped.tolist()) == sorted((before | set(idx.tolist())) - after)
