@@ -67,6 +67,16 @@ class SparseExample:
         return f"SparseExample({self.label:+d} {body})"
 
 
+def grown_capacity(n: int) -> int:
+    """Capacity a growable buffer reallocates to for ``n`` cells.
+
+    The next power of two, at least 8: growth is amortised O(1) per cell,
+    and the capacity depends on ``n`` alone, so a buffer that first grew to
+    just below its final length is not doubled again for the last cells.
+    """
+    return max(8, 1 << (n - 1).bit_length())
+
+
 class DenseVector:
     """Contiguous float64 vector that grows on demand and never shrinks.
 
@@ -104,8 +114,7 @@ class DenseVector:
         if n <= self._n:
             return
         if n > len(self._buf):
-            cap = max(2 * len(self._buf), n)
-            buf = np.full(cap, self.fill, dtype=np.float64)
+            buf = np.full(grown_capacity(n), self.fill, dtype=np.float64)
             buf[: self._n] = self._buf[: self._n]
             self._buf = buf
         # slack cells were pre-filled, so extending the live region suffices

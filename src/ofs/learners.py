@@ -19,7 +19,7 @@ ogd   hinge-driven gradient descent with a decaying step, no selection
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -345,7 +345,12 @@ def save_model(model: OnlineLearner, path) -> None:
 
 
 def load_model(path) -> OnlineLearner:
-    """Rebuild a learner saved by :func:`save_model`."""
+    """Rebuild a learner saved by :func:`save_model`.
+
+    A body line with the wrong number of fields, an index outside [0, d),
+    a non-finite weight or mean, or a covariance outside (0, 1] raises
+    ``ValueError`` naming the file and the line.
+    """
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().split()
         if len(header) < 5 or header[0] != MODEL_MAGIC:
@@ -366,20 +371,47 @@ def load_model(path) -> OnlineLearner:
             eta=params.get("eta", 0.2),
             lam=params.get("lambda", 0.01),
         )
-        model._ensure(d)
-        if isinstance(model, OgdModel):
-            model.t = int(params.get("t", 0))
         second = isinstance(model, _SecondOrder)
-        for line in fh:
+        width = 3 if second else 2
+        line_nos: List[int] = []
+        idx: List[int] = []
+        weights: List[float] = []
+        sigmas: List[float] = []
+        for line_no, line in enumerate(fh, start=2):
             parts = line.split()
             if not parts:
                 continue
-            j = int(parts[0])
-            if second:
-                model.mu[j] = float(parts[1])
-                model.sigma[j] = float(parts[2])
-            else:
-                model.w[j] = float(parts[1])
+            try:
+                if len(parts) != width:
+                    raise ValueError
+                j = int(parts[0])
+                weights.append(float(parts[1]))
+                if second:
+                    sigmas.append(float(parts[2]))
+            except ValueError:
+                raise ValueError(f"{path}: line {line_no}: expected {width} numbers, got {line.strip()!r}") from None
+            if not 0 <= j < d:
+                raise ValueError(f"{path}: line {line_no}: index {j} outside [0, {d})")
+            line_nos.append(line_no)
+            idx.append(j)
+    w_arr = np.asarray(weights, dtype=np.float64)
+    s_arr = np.asarray(sigmas, dtype=np.float64)
+    bad = ~np.isfinite(w_arr)
+    if second:
+        bad |= ~((s_arr > 0.0) & (s_arr <= 1.0))  # NaN fails both
+    if bad.any():
+        k = int(np.argmax(bad))
+        if np.isfinite(w_arr[k]):
+            what = f"covariance {float(s_arr[k])!r} outside (0, 1]"
+        else:
+            what = f"non-finite weight {float(w_arr[k])!r}"
+        raise ValueError(f"{path}: line {line_nos[k]}: {what}")
+    model._ensure(d)
+    if isinstance(model, OgdModel):
+        model.t = int(params.get("t", 0))
+    model.weights.array[idx] = w_arr
+    if second:
+        model.sigma.array[idx] = s_arr
     if isinstance(model, (SofsModel, PetModel)):
         # rebuild the kept set by the learner's own rule over the stored features
         w = model.weights.array

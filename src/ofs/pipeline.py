@@ -9,18 +9,18 @@ identical results by construction, timing aside.
 """
 from __future__ import annotations
 
-import gzip
 import os
 import queue
-import shutil
 import tempfile
 import threading
 import time
+from array import array
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .core import SparseExample
 from .data import DatasetStream, LibsvmFormatError
 from .learners import BUDGETED, OnlineLearner, make_learner
 
@@ -260,83 +260,70 @@ def cross_validate(
     return best, results
 
 
-class _PermutationSource:
-    """Prepares seed-permuted views of the training data for sweeps.
+class _RowCache:
+    """One pass over a stream into CSR arrays: labels, indptr, indices, values.
 
-    Data up to ``max_in_memory`` examples is materialized once and
-    index-permuted per repeat. Beyond that the stream must be file backed:
-    a plain-text copy is made if the source is gzipped, line offsets are
-    collected once, and each repeat writes one shuffled on-disk copy.
+    Up to ``limit`` rows are held in memory. Past that, indices and values
+    are appended chunk by chunk to raw files in ``spill_dir`` and read back
+    through ``np.memmap``; labels and row offsets stay in memory. With
+    ``file_backed`` set, a stream over the limit must have a ``path``.
     """
 
-    def __init__(self, stream: DatasetStream, max_in_memory: int):
-        self._stream = stream
-        self._limit = max_in_memory
-        self._examples: Optional[list] = None
-        self._scanned = False
-        self._tmp: Optional[tempfile.TemporaryDirectory] = None
-        self._plain_path: Optional[str] = None
-        self._offsets: Optional[list] = None
-        self._copies: Dict[int, str] = {}
-
-    def permuted(self, seed: int) -> DatasetStream:
-        if not self._scanned:
-            self._scan()
-        if self._examples is not None:
-            rng = np.random.default_rng(seed)
-            perm = rng.permutation(len(self._examples))
-            ordered = [self._examples[i] for i in perm]
-            return DatasetStream.from_examples(ordered, dim=self._stream.dim)
-        return DatasetStream.from_file(self._shuffled_copy(seed), dim=self._stream.dim)
-
-    def _scan(self) -> None:
-        self._scanned = True
-        examples = []
-        for ex in self._stream:
-            examples.append(ex)
-            if len(examples) > self._limit:
-                examples = None
-                break
-        if examples is not None:
-            self._examples = examples
+    def __init__(self, stream: DatasetStream, limit: int, spill_dir: str, name: str, *, file_backed: bool = False):
+        labels, indptr = array("b"), array("q", [0])
+        held: List[SparseExample] = []
+        spill: Optional[List[str]] = None
+        for ex in stream:
+            labels.append(ex.label)
+            indptr.append(indptr[-1] + len(ex.indices))
+            held.append(ex)
+            if len(held) > limit:
+                if spill is None:
+                    if file_backed and getattr(stream, "path", None) is None:
+                        raise ValueError(
+                            f"stream exceeds the in-memory budget of {limit} examples "
+                            "and is not file backed; raise max_in_memory or point the sweep at a file"
+                        )
+                    spill = [os.path.join(spill_dir, f"{name}.{part}") for part in ("idx", "val")]
+                _spill_rows(held, spill)
+                held = []
+        self.labels = np.frombuffer(labels, dtype=np.int8)
+        self.indptr = np.frombuffer(indptr, dtype=np.int64)
+        if spill is None:
+            self.indices, self.values = _concat_rows(held)
             return
-        path = getattr(self._stream, "path", None)
-        if path is None:
-            raise ValueError(
-                f"stream exceeds the in-memory budget of {self._limit} examples "
-                "and is not file backed; raise max_in_memory or point the sweep at a file"
-            )
-        self._tmp = tempfile.TemporaryDirectory(prefix="ofs-sweep-")
-        if str(path).endswith(".gz"):
-            plain = os.path.join(self._tmp.name, "train.svm")
-            with gzip.open(path, "rt", encoding="ascii") as src, open(plain, "w", encoding="ascii") as dst:
-                shutil.copyfileobj(src, dst)
-            path = plain
-        self._plain_path = str(path)
-        offsets = []
-        with open(path, "rb") as fh:
-            pos = fh.tell()
-            for line in iter(fh.readline, b""):
-                if line.strip():
-                    offsets.append(pos)
-                pos = fh.tell()
-        self._offsets = offsets
+        _spill_rows(held, spill)
+        nnz = indptr[-1]
+        # mapping an empty file fails, and an empty array holds no data anyway
+        self.indices, self.values = (
+            np.memmap(path, dtype=dtype, mode="r", shape=(nnz,)) if nnz else np.empty(0, dtype)
+            for path, dtype in zip(spill, (np.int64, np.float64))
+        )
 
-    def _shuffled_copy(self, seed: int) -> str:
-        if seed in self._copies:
-            return self._copies[seed]
-        rng = np.random.default_rng(seed)
-        perm = rng.permutation(len(self._offsets))
-        out = os.path.join(self._tmp.name, f"train_perm_{seed}.svm")
-        with open(self._plain_path, "rb") as src, open(out, "wb") as dst:
-            for i in perm:
-                src.seek(self._offsets[i])
-                line = src.readline()
-                if not line.endswith(b"\n"):
-                    line += b"\n"
-                dst.write(line)
-        self._copies[seed] = out
-        return out
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def rows(self, order: Optional[np.ndarray] = None) -> Iterator[SparseExample]:
+        """Yield the rows in stream order, or in ``order``, copied into plain arrays."""
+        labels, ptr = self.labels.tolist(), self.indptr.tolist()
+        idx, val = self.indices, self.values
+        for r in range(len(labels)) if order is None else order.tolist():
+            a, b = ptr[r], ptr[r + 1]
+            yield SparseExample(labels[r], np.array(idx[a:b]), np.array(val[a:b]))
+
+
+def _concat_rows(rows: List[SparseExample]) -> Tuple[np.ndarray, np.ndarray]:
+    if not rows:
+        return np.empty(0, np.int64), np.empty(0)
+    idx = np.concatenate([ex.indices for ex in rows]).astype(np.int64, copy=False)
+    val = np.concatenate([ex.values for ex in rows]).astype(np.float64, copy=False)
+    return idx, val
+
+
+def _spill_rows(rows: List[SparseExample], paths: List[str]) -> None:
+    for arr, path in zip(_concat_rows(rows), paths):
+        with open(path, "ab") as fh:
+            arr.tofile(fh)
 
 
 def benchmark_sweep(
@@ -357,48 +344,51 @@ def benchmark_sweep(
 ) -> List[RunReport]:
     """Train and evaluate every (algo, budget, repeat) combination.
 
-    Learners without a budget train once per repeat and report B = 0.
-    Repeat r re-permutes the training data with seed ``base_seed + r``; the
-    permutation is shared by every algorithm and budget in that repeat so
-    comparisons are paired. Sparsity is measured against the declared
-    dimensionality when available, else the largest dimension seen.
+    Each stream is parsed once into a :class:`_RowCache`; beyond
+    ``max_in_memory`` rows the cache spills to a temporary directory that
+    is removed on return, and a file-backed training stream is required.
+    A malformed line fails while the caches are built, before any row
+    trains. Learners without a budget train once per repeat and report
+    B = 0. Repeat r walks the training rows in the order of
+    ``np.random.default_rng(base_seed + r).permutation(n)``, shared by every
+    algorithm and budget in that repeat so comparisons are paired. Sparsity
+    is measured against the declared dimensionality when available, else
+    the largest dimension seen.
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
     declared = dim if dim is not None else train.dim
-    source = _PermutationSource(train, max_in_memory)
     reports: List[RunReport] = []
-    for r in range(repeats):
-        seed = base_seed + r
-        ptrain = source.permuted(seed)
-        for algo in algos:
-            for budget in budgets if algo in BUDGETED else (0,):
-                learner = make_learner(
-                    algo,
-                    budget=budget or None,
-                    gamma=gamma,
-                    eta=eta,
-                    lam=lam,
-                )
-                started = time.perf_counter()
-                tr = train_stream(learner, ptrain, threads=threads, queue_capacity=queue_capacity)
-                accuracy = evaluate(learner, test)
-                total = time.perf_counter() - started
-                d = max(int(declared or 0), len(learner.weights))
-                nnz = learner.nonzero_count()
-                sparsity = 100.0 * (1.0 - nnz / d) if d else 0.0
-                reports.append(
-                    RunReport(
-                        algo=algo,
-                        budget=budget,
-                        seed=seed,
-                        accuracy=accuracy,
-                        mistakes=tr.mistakes,
-                        sparsity_pct=sparsity,
-                        train_seconds=tr.train_seconds,
-                        total_seconds=total,
-                        selected=learner.selected_indices(),
-                        n_train=tr.examples,
+    with tempfile.TemporaryDirectory(prefix="ofs-sweep-") as tmp:
+        train_rows = _RowCache(train, max_in_memory, tmp, "train", file_backed=True)
+        test_rows = _RowCache(test, max_in_memory, tmp, "test")
+        for r in range(repeats):
+            seed = base_seed + r
+            order = np.random.default_rng(seed).permutation(len(train_rows))
+            for algo in algos:
+                for budget in budgets if algo in BUDGETED else (0,):
+                    learner = make_learner(algo, budget=budget or None, gamma=gamma, eta=eta, lam=lam)
+                    started = time.perf_counter()
+                    tr = train_stream(
+                        learner, train_rows.rows(order), threads=threads, queue_capacity=queue_capacity
                     )
-                )
+                    accuracy = evaluate(learner, test_rows.rows())
+                    total = time.perf_counter() - started
+                    d = max(int(declared or 0), len(learner.weights))
+                    nnz = learner.nonzero_count()
+                    sparsity = 100.0 * (1.0 - nnz / d) if d else 0.0
+                    reports.append(
+                        RunReport(
+                            algo=algo,
+                            budget=budget,
+                            seed=seed,
+                            accuracy=accuracy,
+                            mistakes=tr.mistakes,
+                            sparsity_pct=sparsity,
+                            train_seconds=tr.train_seconds,
+                            total_seconds=total,
+                            selected=learner.selected_indices(),
+                            n_train=tr.examples,
+                        )
+                    )
     return reports

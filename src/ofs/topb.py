@@ -21,7 +21,7 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .core import DenseVector
+from .core import DenseVector, grown_capacity
 
 
 class Outcome(Enum):
@@ -140,8 +140,7 @@ class TopBTracker:
         return Outcome.ADMITTED, None
 
     def _grow(self, n: int) -> None:
-        # doubles, as the state vectors do, so growth is amortised O(1) per cell
-        mask = np.zeros(max(2 * len(self._mask), n), dtype=bool)
+        mask = np.zeros(grown_capacity(n), dtype=bool)
         mask[: len(self._mask)] = self._mask
         self._mask = mask
 

@@ -121,6 +121,16 @@ class TestDataErrors:
         assert code == 1
         assert "empty" in err
 
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_corrupt_model_exits_one(self, tmp_path, capsys, command):
+        data = tmp_path / "d.svm"
+        data.write_text("+1 1:1\n")
+        model = tmp_path / "m"
+        model.write_text("OFSMODEL v1 ogd 4 0 eta=0.2 t=1\n-1 0.5\n")
+        code, _, err = run(capsys, command, "--model", str(model), "--data", str(data))
+        assert code == 1
+        assert err == f"ofs: {model}: line 2: index -1 outside [0, 4)\n"
+
 
 class TestGenerate:
     def test_writes_three_files(self, dataset):

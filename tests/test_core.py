@@ -83,6 +83,22 @@ class TestDenseVector:
         v.ensure(2)
         assert len(v) == 5
 
+    def test_growth_rounds_up_to_a_power_of_two(self):
+        v = DenseVector()
+        v.ensure(998_900)
+        v.ensure(10**6)
+        assert len(v) == 10**6
+        assert len(v._buf) == 2**20
+
+    def test_successive_growth_reallocates_log_times(self):
+        v = DenseVector()
+        buf, reallocations = v._buf, 0
+        for n in range(1, 5001):
+            v.ensure(n)
+            if v._buf is not buf:
+                buf, reallocations = v._buf, reallocations + 1
+        assert reallocations <= (5000).bit_length()
+
     def test_array_is_live_view(self):
         v = DenseVector(3)
         v.array[1] = 9.0

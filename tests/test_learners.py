@@ -422,3 +422,27 @@ class TestPersistence:
         path.write_text("OFSMODEL v9 sofs 1 3 gamma=1.0\n")
         with pytest.raises(ValueError):
             load_model(path)
+
+    @pytest.mark.parametrize(
+        "body,message",
+        [
+            ("0 0.5 0.5\n-1 0.25 0.5\n", "index -1 outside [0, 4)"),
+            ("0 0.5 0.5\n4 0.25 0.5\n", "index 4 outside [0, 4)"),
+            ("0 0.5 0.5\n2 0.25 7.0\n", "covariance 7.0 outside (0, 1]"),
+            ("0 0.5 0.5\n2 0.25 nan\n", "covariance nan outside (0, 1]"),
+            ("0 0.5 0.5\n2 inf 0.5\n", "non-finite weight inf"),
+            ("0 0.5 0.5\n2 0.25\n", "expected 3 numbers, got '2 0.25'"),
+        ],
+    )
+    def test_reject_corrupt_body(self, body, message, tmp_path):
+        path = tmp_path / "corrupt.txt"
+        path.write_text("OFSMODEL v1 sofs 4 3 gamma=1.0\n" + body)
+        with pytest.raises(ValueError) as info:
+            load_model(path)
+        assert str(info.value) == f"{path}: line 3: {message}"
+
+    def test_reject_non_finite_first_order_weight(self, tmp_path):
+        path = tmp_path / "corrupt.txt"
+        path.write_text("OFSMODEL v1 ogd 4 0 eta=0.2 t=3\n1 -inf\n")
+        with pytest.raises(ValueError, match="line 2: non-finite weight -inf"):
+            load_model(path)

@@ -1,13 +1,18 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
 
+from ofs import data, pipeline
 from ofs.core import SparseExample
-from ofs.data import DatasetStream, LibsvmFormatError, SyntheticSpec, generate_synthetic
+from ofs.data import DatasetStream, LibsvmFormatError, SyntheticSpec, generate_synthetic, write_libsvm
 from ofs.learners import ArowModel, make_learner
 from ofs.pipeline import (
     CSV_HEADER,
     CvGrid,
     RunReport,
+    _RowCache,
     _thread_count,
     benchmark_sweep,
     cross_validate,
@@ -320,6 +325,110 @@ class TestSweep:
         train, test = self.desk_data(seed=58)
         with pytest.raises(ValueError):
             benchmark_sweep(["sofs"], [10], train, test, repeats=0)
+
+
+def _row_fields(reports):
+    return [
+        (r.algo, r.budget, r.seed, r.accuracy, r.mistakes, r.sparsity_pct, r.selected, r.n_train)
+        for r in reports
+    ]
+
+
+class TestSweepCache:
+    N_TRAIN, N_TEST = 120, 80
+
+    def files(self, tmp_path, seed=60):
+        spec = SyntheticSpec(n_train=self.N_TRAIN, n_test=self.N_TEST, dim=200, idim=10, ndim=20, seed=seed)
+        train, test, _ = generate_synthetic(spec)
+        write_libsvm(train, tmp_path / "train.svm")
+        write_libsvm(test, tmp_path / "test.svm")
+        return (
+            DatasetStream.from_file(tmp_path / "train.svm", dim=200),
+            DatasetStream.from_file(tmp_path / "test.svm", dim=200),
+        )
+
+    @pytest.mark.parametrize("max_in_memory", [1_000_000, 10])
+    def test_each_file_parsed_once(self, tmp_path, monkeypatch, max_in_memory):
+        train, test = self.files(tmp_path)
+        parse = data.parse_libsvm_line
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return parse(*args)
+
+        monkeypatch.setattr(data, "parse_libsvm_line", counting)
+        reports = benchmark_sweep(
+            ["sofs", "ogd"], [10, 20], train, test, repeats=3, threads=1, max_in_memory=max_in_memory
+        )
+        assert len(reports) == 9  # three rows per repeat
+        assert len(calls) == self.N_TRAIN + self.N_TEST
+
+    def test_spilled_test_file_gives_identical_rows(self, tmp_path):
+        train, test = self.files(tmp_path, seed=61)
+        args = (["sofs", "pet", "ogd"], [5, 15], train, test)
+        mem = benchmark_sweep(*args, repeats=2, base_seed=3, threads=1)
+        spilled = benchmark_sweep(*args, repeats=2, base_seed=3, threads=1, max_in_memory=self.N_TEST - 1)
+        assert _row_fields(spilled) == _row_fields(mem)
+
+    def test_malformed_test_line_fails_before_training(self, tmp_path, monkeypatch):
+        train, test = self.files(tmp_path)
+        with open(test.path, "a", encoding="ascii") as fh:
+            fh.write("+1 3:oops\n")
+        trained = []
+        monkeypatch.setattr(pipeline, "train_stream", lambda *a, **k: trained.append(a))
+        with pytest.raises(LibsvmFormatError, match=f"^line {self.N_TEST + 1}: "):
+            benchmark_sweep(["sofs"], [10], train, test, repeats=2, threads=1)
+        assert trained == []
+
+    @pytest.mark.parametrize("malformed", [False, True])
+    def test_spill_directory_removed(self, tmp_path, monkeypatch, malformed):
+        train, test = self.files(tmp_path)
+        if malformed:
+            with open(test.path, "a", encoding="ascii") as fh:
+                fh.write("-1 4:1.0 2:1.0\n")
+        scratch = tmp_path / "scratch"
+        scratch.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        spilled = []
+        cache = pipeline._RowCache
+
+        def spying(*args, **kwargs):
+            built = cache(*args, **kwargs)
+            spilled.append(isinstance(built.indices, np.memmap))
+            return built
+
+        monkeypatch.setattr(pipeline, "_RowCache", spying)
+        if malformed:
+            with pytest.raises(LibsvmFormatError):
+                benchmark_sweep(["sofs"], [10], train, test, repeats=1, threads=1, max_in_memory=10)
+            assert spilled == [True]  # the train cache spilled, then the test file failed
+        else:
+            benchmark_sweep(["sofs"], [10], train, test, repeats=1, threads=1, max_in_memory=10)
+            assert spilled == [True, True]
+        assert os.listdir(scratch) == []
+
+
+class TestRowCache:
+    @pytest.mark.parametrize("limit,mapped", [(1_000, False), (7, True), (0, True)])
+    def test_rows_round_trip(self, tmp_path, limit, mapped):
+        rng = np.random.default_rng(62)
+        examples = random_stream(rng, 50, 30) + [SparseExample(-1, np.empty(0, np.int64), np.empty(0))]
+        cache = _RowCache(DatasetStream.from_examples(examples), limit, str(tmp_path), "t")
+        assert len(cache) == len(examples)
+        assert isinstance(cache.indices, np.memmap) == mapped
+        order = rng.permutation(len(examples))
+        for got, want in zip(cache.rows(order), [examples[i] for i in order]):
+            assert type(got.indices) is np.ndarray and type(got.values) is np.ndarray
+            assert got.label == want.label
+            assert np.array_equal(got.indices, want.indices)
+            assert np.array_equal(got.values, want.values)
+        assert [ex.label for ex in cache.rows()] == [ex.label for ex in examples]
+
+    def test_only_empty_rows_spill(self, tmp_path):
+        empty = [SparseExample(1, np.empty(0, np.int64), np.empty(0))] * 3
+        cache = _RowCache(DatasetStream.from_examples(empty), 1, str(tmp_path), "t")
+        assert [(ex.label, ex.nnz) for ex in cache.rows()] == [(1, 0)] * 3
 
 
 class TestThreadCount:

@@ -201,3 +201,9 @@ class TestState:
             dropped = t.select(idx.astype(np.int64), rng.uniform(0.0, 1.0, size=len(idx)))
             after = set(t.indices())
             assert sorted(dropped.tolist()) == sorted((before | set(idx.tolist())) - after)
+
+    def test_mask_grows_to_a_power_of_two(self):
+        t = TopBTracker(4)
+        t.select(np.array([998_899], dtype=np.int64), np.array([0.5]))
+        t.select(np.array([999_999], dtype=np.int64), np.array([0.5]))
+        assert len(t._mask) == 2**20
