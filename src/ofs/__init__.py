@@ -3,8 +3,6 @@
 from .core import (
     DenseVector,
     SparseExample,
-    hinge,
-    predict,
     sparse_dot,
     squared_hinge,
     squared_hinge_grad,

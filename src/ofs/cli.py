@@ -52,8 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--lambda", dest="lam", type=float, default=0.01)
     t.add_argument("--data", required=True)
     t.add_argument("--model", required=True, help="where to write the model")
-    t.add_argument("--threads", type=int, default=None)
-    t.add_argument("--queue-cap", type=int, default=pipeline.DEFAULT_QUEUE_CAPACITY)
     t.set_defaults(func=_cmd_train)
 
     pr = sub.add_parser("predict", help="write one predicted label per line")
@@ -84,7 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--gamma", type=float, default=1.0)
     s.add_argument("--eta", type=float, default=0.2)
     s.add_argument("--lambda", dest="lam", type=float, default=0.01)
-    s.add_argument("--threads", type=int, default=None)
     s.add_argument("--dim", type=int, default=None, help="declared dimensionality for sparsity")
     s.add_argument("--max-in-memory", type=int, default=1_000_000)
     s.set_defaults(func=_cmd_sweep)
@@ -145,9 +142,7 @@ def _cmd_train(args) -> int:
         args.algo, budget=args.B, gamma=args.gamma, eta=args.eta, lam=args.lam
     )
     stream = dat.DatasetStream.from_file(args.data)
-    result = pipeline.train_stream(
-        learner, stream, threads=args.threads, queue_capacity=args.queue_cap
-    )
+    result = pipeline.train_stream(learner, stream)
     learners.save_model(learner, args.model)
     rate = result.mistakes / result.examples if result.examples else 0.0
     print(
@@ -213,7 +208,6 @@ def _cmd_sweep(args) -> int:
         gamma=args.gamma,
         eta=args.eta,
         lam=args.lam,
-        threads=args.threads,
         dim=args.dim,
         max_in_memory=args.max_in_memory,
     )

@@ -162,16 +162,6 @@ def sparse_dot(w: DenseVector, x: SparseExample) -> float:
     return float(a[idx[:m]] @ x.values[:m])
 
 
-def predict(w: DenseVector, x: SparseExample) -> int:
-    """Predicted label for ``x``; sign(0) maps to +1 so the rule is total."""
-    return 1 if sparse_dot(w, x) >= 0.0 else -1
-
-
-def hinge(w: DenseVector, x: SparseExample, y: int) -> float:
-    """Plain hinge loss max(0, 1 - y * (w . x))."""
-    return max(0.0, 1.0 - y * sparse_dot(w, x))
-
-
 def squared_hinge(w: DenseVector, x: SparseExample, y: int) -> float:
     """Squared hinge loss (max(0, 1 - y * (w . x)))^2.
 

@@ -105,8 +105,8 @@ class _SecondOrder(OnlineLearner):
     """
 
     def __init__(self, gamma: float = 1.0):
-        if gamma <= 0.0:
-            raise ValueError(f"gamma must be positive, got {gamma}")
+        if not (math.isfinite(gamma) and gamma > 0.0):
+            raise ValueError(f"gamma must be positive and finite, got {gamma}")
         self.gamma = float(gamma)
         self.mu = DenseVector(fill=0.0)
         self.sigma = DenseVector(fill=1.0)
@@ -191,9 +191,9 @@ class FirstOrderModel(OnlineLearner):
 
     def __init__(self, eta: float = 0.2, budget: Optional[int] = None):
         # eta = 0 yields a learner that never moves; useful as a degenerate
-        # grid point, so only negative rates are rejected
-        if eta < 0.0:
-            raise ValueError(f"eta must be non-negative, got {eta}")
+        # grid point, so only negative and non-finite rates are rejected
+        if not (math.isfinite(eta) and eta >= 0.0):
+            raise ValueError(f"eta must be non-negative and finite, got {eta}")
         self.eta = float(eta)
         self.budget = budget
         self.w = DenseVector(fill=0.0)
@@ -249,8 +249,8 @@ class FofsModel(FirstOrderModel):
     def __init__(self, budget: int, eta: float = 0.2, lam: float = 0.01):
         if budget is None or budget < 1:
             raise ValueError("fofs requires a selection budget B >= 1")
-        if lam <= 0.0:
-            raise ValueError(f"lambda must be positive, got {lam}")
+        if not (math.isfinite(lam) and lam > 0.0):
+            raise ValueError(f"lambda must be positive and finite, got {lam}")
         super().__init__(eta=eta, budget=int(budget))
         self.lam = float(lam)
 
@@ -344,33 +344,72 @@ def save_model(model: OnlineLearner, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _load_header(path, header: List[str]) -> OnlineLearner:
+    """Build the learner a model header describes, checking every field."""
+
+    def bad(what: str) -> ValueError:
+        return ValueError(f"{path}: line 1: {what}")
+
+    def count(name: str, tok: str) -> int:
+        if not (tok.isascii() and tok.isdigit()):
+            raise bad(f"{name} must be an integer >= 0, got {tok!r}")
+        return int(tok)
+
+    if len(header) < 5 or header[0] != MODEL_MAGIC:
+        raise bad("not a model file")
+    if header[1] != MODEL_VERSION:
+        raise bad(f"unsupported model version {header[1]!r}")
+    algo = header[2]
+    if algo not in ALGOS:
+        raise bad(f"unknown algorithm {algo!r}")
+    d = count("d", header[3])
+    budget = count("B", header[4])
+    if algo in BUDGETED and budget < 1:
+        raise bad(f"{algo} needs B >= 1, got {budget}")
+    if algo not in BUDGETED and budget != 0:
+        raise bad(f"{algo} has no budget, so B must be 0, got {budget}")
+    values: Dict[str, str] = {}
+    for tok in header[5:]:
+        key, eq, val = tok.partition("=")
+        if not eq:
+            raise bad(f"expected key=value, got {tok!r}")
+        if key in values:
+            raise bad(f"duplicate key {key!r}")
+        values[key] = val
+    expected = list(make_learner(algo, budget=budget or None).hyperparams())
+    if sorted(values) != sorted(expected):
+        raise bad(f"{algo} keys must be {', '.join(expected)}, got {', '.join(values) or 'none'}")
+    t = count("t", values.pop("t")) if "t" in values else 0
+    kwargs: Dict[str, float] = {}
+    for key, val in values.items():
+        try:
+            kwargs["lam" if key == "lambda" else key] = float(val)
+        except ValueError:
+            raise bad(f"{key} must be a number, got {val!r}") from None
+    try:
+        model = make_learner(algo, budget=budget or None, **kwargs)
+    except ValueError as err:
+        raise bad(str(err)) from None
+    model._ensure(d)
+    if isinstance(model, OgdModel):
+        model.t = t
+    return model
+
+
 def load_model(path) -> OnlineLearner:
     """Rebuild a learner saved by :func:`save_model`.
 
-    A body line with the wrong number of fields, an index outside [0, d),
-    a non-finite weight or mean, or a covariance outside (0, 1] raises
-    ``ValueError`` naming the file and the line.
+    Every header field is checked: d and B are integers >= 0 with B >= 1
+    exactly for budgeted algorithms, the keys are exactly those the
+    learner's ``hyperparams`` writes, ``t`` is an integer >= 0, and the
+    hyperparameters pass the learner's own checks. A body line with the
+    wrong number of fields, an index outside [0, d), a non-finite weight
+    or mean, or a covariance outside (0, 1] is rejected too. Each failure
+    raises ``ValueError`` naming the file and the line.
     """
     with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().split()
-        if len(header) < 5 or header[0] != MODEL_MAGIC:
-            raise ValueError(f"{path}: not a model file")
-        if header[1] != MODEL_VERSION:
-            raise ValueError(f"{path}: unsupported model version {header[1]!r}")
-        algo = header[2]
-        d = int(header[3])
-        budget = int(header[4])
-        params: Dict[str, float] = {}
-        for tok in header[5:]:
-            key, _, val = tok.partition("=")
-            params[key] = float(val)
-        model = make_learner(
-            algo,
-            budget=budget or None,
-            gamma=params.get("gamma", 1.0),
-            eta=params.get("eta", 0.2),
-            lam=params.get("lambda", 0.01),
-        )
+        model = _load_header(path, fh.readline().split())
+        d = len(model.weights)
         second = isinstance(model, _SecondOrder)
         width = 3 if second else 2
         line_nos: List[int] = []
@@ -406,9 +445,6 @@ def load_model(path) -> OnlineLearner:
         else:
             what = f"non-finite weight {float(w_arr[k])!r}"
         raise ValueError(f"{path}: line {line_nos[k]}: {what}")
-    model._ensure(d)
-    if isinstance(model, OgdModel):
-        model.t = int(params.get("t", 0))
     model.weights.array[idx] = w_arr
     if second:
         model.sigma.array[idx] = s_arr

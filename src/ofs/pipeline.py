@@ -1,18 +1,14 @@
 """Single-pass training, evaluation, cross-validation and benchmark sweeps.
 
-Training is a strict single pass: each example is seen once, in stream
-order, with exactly one ``update`` call. By default parsing runs in a
-separate reader thread feeding a bounded in-order queue (two-stage
-pipeline); setting the environment variable ``OFS_THREADS=1`` or passing
-``threads=1`` forces the single-threaded path. Both paths produce
-identical results by construction, timing aside.
+Training is a strict single pass in one loop on the calling thread: each
+example is read (parsed, for a file stream), then handed to exactly one
+``update`` call, in stream order. Any error, from the parser or from the
+learner, reaches the caller at once.
 """
 from __future__ import annotations
 
 import os
-import queue
 import tempfile
-import threading
 import time
 from array import array
 from dataclasses import dataclass
@@ -23,9 +19,6 @@ import numpy as np
 from .core import SparseExample
 from .data import DatasetStream, LibsvmFormatError
 from .learners import BUDGETED, OnlineLearner, make_learner
-
-DEFAULT_QUEUE_CAPACITY = 1024
-_BATCH = 128
 
 CSV_HEADER = "algo,B,seed,accuracy,mistakes,sparsity_pct,train_s,total_s"
 
@@ -78,33 +71,20 @@ def format_report_table(reports: Sequence[RunReport]) -> str:
     return "\n".join(lines)
 
 
-def _thread_count(threads: Optional[int]) -> int:
-    if threads is not None:
-        return int(threads)
-    env = os.environ.get("OFS_THREADS")
-    if env:
-        return int(env)
-    return 2
-
-
-def train_stream(
-    learner: OnlineLearner,
-    stream: Iterable,
-    *,
-    threads: Optional[int] = None,
-    queue_capacity: int = DEFAULT_QUEUE_CAPACITY,
-) -> TrainResult:
+def train_stream(learner: OnlineLearner, stream: Iterable, *, threads: int = 1) -> TrainResult:
     """Drive one pass over ``stream``, one update per example, in order.
 
     A mistake is counted when the pre-update prediction differs from the
-    label. ``train_seconds`` covers first example to last update.
+    label. ``train_seconds`` covers first example to last update. A parse
+    error carries the number of examples trained before it as
+    ``example_ordinal``.
+
+    ``threads`` exists only because the benchmark in ``perfbench/`` still
+    passes ``threads=1``; any other value raises ``ValueError``. It goes
+    once the benchmark stops passing it.
     """
-    if _thread_count(threads) <= 1:
-        return _train_serial(learner, stream)
-    return _train_threaded(learner, stream, queue_capacity)
-
-
-def _train_serial(learner: OnlineLearner, stream: Iterable) -> TrainResult:
+    if threads != 1:
+        raise ValueError(f"training runs on one thread; threads={threads!r} is not supported")
     mistakes = 0
     count = 0
     t0 = None
@@ -123,65 +103,6 @@ def _train_serial(learner: OnlineLearner, stream: Iterable) -> TrainResult:
         if (1 if margin >= 0.0 else -1) != ex.label:
             mistakes += 1
         count += 1
-    elapsed = 0.0 if t0 is None else time.perf_counter() - t0
-    return TrainResult(mistakes, count, elapsed)
-
-
-class _ReaderFailure:
-    __slots__ = ("error",)
-
-    def __init__(self, error: BaseException):
-        self.error = error
-
-
-_DONE = object()
-
-
-def _train_threaded(learner: OnlineLearner, stream: Iterable, capacity: int) -> TrainResult:
-    # examples travel in small batches to amortise queue overhead; the
-    # queue bound is expressed in examples
-    q: queue.Queue = queue.Queue(maxsize=max(1, capacity // _BATCH))
-
-    def reader():
-        batch = []
-        try:
-            for ex in stream:
-                batch.append(ex)
-                if len(batch) >= _BATCH:
-                    q.put(batch)
-                    batch = []
-            if batch:
-                q.put(batch)
-            q.put(_DONE)
-        except BaseException as err:  # propagated to the consumer
-            if batch:
-                q.put(batch)
-            q.put(_ReaderFailure(err))
-
-    t = threading.Thread(target=reader, name="ofs-reader", daemon=True)
-    t.start()
-    mistakes = 0
-    count = 0
-    t0 = None
-    try:
-        while True:
-            item = q.get()
-            if item is _DONE:
-                break
-            if isinstance(item, _ReaderFailure):
-                err = item.error
-                if isinstance(err, LibsvmFormatError):
-                    err.example_ordinal = count
-                raise err
-            if t0 is None:
-                t0 = time.perf_counter()
-            for ex in item:
-                margin = learner.update(ex)
-                if (1 if margin >= 0.0 else -1) != ex.label:
-                    mistakes += 1
-                count += 1
-    finally:
-        t.join(timeout=5.0)
     elapsed = 0.0 if t0 is None else time.perf_counter() - t0
     return TrainResult(mistakes, count, elapsed)
 
@@ -251,7 +172,7 @@ def cross_validate(
         for f in range(k):
             lo, hi = bounds[f], bounds[f + 1]
             learner = make_learner(algo, budget=budget, **params)
-            _train_serial(learner, examples[:lo] + examples[hi:])
+            train_stream(learner, examples[:lo] + examples[hi:])
             accs.append(evaluate(learner, examples[lo:hi]))
         mean = sum(accs) / k
         results.append((params, mean))
@@ -337,8 +258,6 @@ def benchmark_sweep(
     gamma: float = 1.0,
     eta: float = 0.2,
     lam: float = 0.01,
-    threads: Optional[int] = None,
-    queue_capacity: int = DEFAULT_QUEUE_CAPACITY,
     dim: Optional[int] = None,
     max_in_memory: int = 1_000_000,
 ) -> List[RunReport]:
@@ -369,9 +288,7 @@ def benchmark_sweep(
                 for budget in budgets if algo in BUDGETED else (0,):
                     learner = make_learner(algo, budget=budget or None, gamma=gamma, eta=eta, lam=lam)
                     started = time.perf_counter()
-                    tr = train_stream(
-                        learner, train_rows.rows(order), threads=threads, queue_capacity=queue_capacity
-                    )
+                    tr = train_stream(learner, train_rows.rows(order))
                     accuracy = evaluate(learner, test_rows.rows())
                     total = time.perf_counter() - started
                     d = max(int(declared or 0), len(learner.weights))

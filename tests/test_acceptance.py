@@ -12,8 +12,9 @@ import time
 import numpy as np
 import pytest
 
+from ofs import pipeline
 from ofs.core import SparseExample, sparse_dot
-from ofs.data import DatasetStream, SyntheticSpec, generate_synthetic
+from ofs.data import DatasetStream, SyntheticSpec, generate_synthetic, write_libsvm
 from ofs.learners import make_learner, load_model, save_model
 from ofs.pipeline import CvGrid, benchmark_sweep, cross_validate, evaluate, train_stream
 
@@ -213,13 +214,13 @@ def test_synthetic_recovery():
         accs = {}
         for algo, budget in (("sofs", 100), ("sofs", 200), ("pet", 100), ("pet", 200)):
             learner = make_learner(algo, budget=budget)
-            train_stream(learner, train, threads=1)
+            train_stream(learner, train)
             accs[(algo, budget)] = evaluate(learner, test)
             if (algo, budget) == ("sofs", 200):
                 hits = len(learner.selected_indices() & informative)
                 recoveries.append(hits / len(informative))
         arow = make_learner("arow")
-        train_stream(arow, train, threads=1)
+        train_stream(arow, train)
         arow_accs.append(evaluate(arow, test))
         sofs200.append(accs[("sofs", 200)])
         for budget in (100, 200):
@@ -254,11 +255,11 @@ def test_high_dimensional_benchmark():
     best_ogd, _ = cross_validate("ogd", None, CvGrid(etas=(0.05, 0.2, 0.8)), prefix)
 
     sofs = make_learner("sofs", budget=500, gamma=best_sofs["gamma"])
-    train_stream(sofs, train, threads=1)
+    train_stream(sofs, train)
     sofs_acc = evaluate(sofs, test)
 
     ogd = make_learner("ogd", eta=best_ogd["eta"])
-    train_stream(ogd, train, threads=1)
+    train_stream(ogd, train)
     ogd_acc = evaluate(ogd, test)
 
     sparsity = 100.0 * (1.0 - sofs.nonzero_count() / spec.dim)
@@ -272,21 +273,29 @@ def test_high_dimensional_benchmark():
     assert elapsed < 300.0, f"benchmark took {elapsed:.1f}s, budget is 5min"
 
 
-@pytest.mark.acceptance("08", "two-stage loader reports identical to single-threaded runs")
-def test_loader_equivalence(monkeypatch):
+@pytest.mark.acceptance("08", "spilled, file-backed sweep reports identical to in-memory runs")
+def test_loader_equivalence(tmp_path, monkeypatch):
     spec = SyntheticSpec(n_train=2_000, n_test=500, dim=500, idim=30, ndim=60, seed=8)
     train, test, _ = generate_synthetic(spec)
-    train = DatasetStream.from_examples(train, dim=spec.dim)
-    test = DatasetStream.from_examples(test, dim=spec.dim)
+    write_libsvm(train, tmp_path / "train.svm")
+    write_libsvm(test, tmp_path / "test.svm")
+    train = DatasetStream.from_file(tmp_path / "train.svm", dim=spec.dim)
+    test = DatasetStream.from_file(tmp_path / "test.svm", dim=spec.dim)
 
-    def run(env_threads):
-        monkeypatch.setenv("OFS_THREADS", env_threads)
-        return benchmark_sweep(["sofs", "pet"], [30], train, test, repeats=5)
+    mapped = []
+    cache = pipeline._RowCache
 
-    piped = run("2")
-    serial = run("1")
-    assert len(piped) == len(serial) == 10
-    for a, b in zip(piped, serial):
+    def spying(*args, **kwargs):
+        built = cache(*args, **kwargs)
+        mapped.append(isinstance(built.indices, np.memmap))
+        return built
+
+    monkeypatch.setattr(pipeline, "_RowCache", spying)
+    in_memory = benchmark_sweep(["sofs", "pet"], [30], train, test, repeats=5)
+    spilled = benchmark_sweep(["sofs", "pet"], [30], train, test, repeats=5, max_in_memory=499)
+    assert mapped == [False, False, True, True]  # both caches spilled in the second sweep
+    assert len(in_memory) == len(spilled) == 10
+    for a, b in zip(in_memory, spilled):
         # csv row minus the two trailing timing fields
         assert a.csv_row().split(",")[:6] == b.csv_row().split(",")[:6]
         assert a.selected == b.selected

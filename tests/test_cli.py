@@ -65,6 +65,21 @@ class TestUsageErrors:
             main(["eval", "--model", str(tmp_path / "absent"), "--data", str(data)])
         assert info.value.code == 2
 
+    @pytest.mark.parametrize(
+        "command,flag",
+        [("train", "--threads"), ("train", "--queue-cap"), ("sweep", "--threads")],
+    )
+    def test_thread_flags_gone(self, tmp_path, command, flag):
+        data = tmp_path / "d.svm"
+        data.write_text("+1 1:1\n")
+        if command == "train":
+            argv = ["train", "--algo", "ogd", "--data", str(data), "--model", str(tmp_path / "m")]
+        else:
+            argv = ["sweep", "--algos", "ogd", "--B", "1", "--train", str(data), "--test", str(data)]
+        with pytest.raises(SystemExit) as info:
+            main(argv + [flag, "1"])
+        assert info.value.code == 2
+
     def test_sweep_budget_validation(self, tmp_path):
         data = tmp_path / "d.svm"
         data.write_text("+1 1:1\n")
@@ -120,6 +135,28 @@ class TestDataErrors:
         code, _, err = run(capsys, "eval", "--model", str(model), "--data", str(empty))
         assert code == 1
         assert "empty" in err
+
+    @pytest.mark.parametrize("algo,flag", [("sofs", "--gamma"), ("ogd", "--eta"), ("fofs", "--lambda")])
+    def test_non_finite_hyperparameter_exits_one(self, tmp_path, capsys, algo, flag):
+        data = tmp_path / "d.svm"
+        data.write_text("+1 1:1\n")
+        model = tmp_path / "m"
+        code, _, err = run(
+            capsys, "train", "--algo", algo, "--B", "1",
+            "--data", str(data), "--model", str(model), flag, "nan",
+        )
+        assert code == 1
+        assert "nan" in err
+        assert not model.exists()
+
+    def test_corrupt_model_header_exits_one(self, tmp_path, capsys):
+        data = tmp_path / "d.svm"
+        data.write_text("+1 1:1\n")
+        model = tmp_path / "m"
+        model.write_text("OFSMODEL v1 ogd -5 0 eta=0.2 t=1\n")
+        code, _, err = run(capsys, "eval", "--model", str(model), "--data", str(data))
+        assert code == 1
+        assert err == f"ofs: {model}: line 1: d must be an integer >= 0, got '-5'\n"
 
     @pytest.mark.parametrize("command", ["eval", "predict"])
     def test_corrupt_model_exits_one(self, tmp_path, capsys, command):
@@ -190,7 +227,6 @@ class TestTrainEvalPredict:
             "--B", "25",
             "--data", str(dataset / "train.svm"),
             "--model", str(model),
-            "--threads", "1",
         )
         assert code == 0
         assert "trained sofs on 1500 examples" in out
@@ -219,7 +255,6 @@ class TestTrainEvalPredict:
             "--B", "25",
             "--data", str(dataset / "train.svm"),
             "--model", str(model),
-            "--threads", "1",
         )
         out_file = dataset / "preds.txt"
         code, _, _ = run(
@@ -247,36 +282,10 @@ class TestTrainEvalPredict:
             "--algo", "ogd",
             "--data", str(dataset / "train.svm"),
             "--model", str(model),
-            "--threads", "1",
         )
         code, out, _ = run(capsys, "predict", "--model", str(model), "--data", str(dataset / "test.svm"))
         assert code == 0
         assert len(out.split()) == 400
-
-    def test_threads_env_respected(self, dataset, capsys, monkeypatch):
-        # OFS_THREADS=1 must give byte-identical models to --threads 1
-        model_env = dataset / "env.model"
-        model_arg = dataset / "arg.model"
-        monkeypatch.setenv("OFS_THREADS", "1")
-        run(
-            capsys,
-            "train",
-            "--algo", "sofs",
-            "--B", "25",
-            "--data", str(dataset / "train.svm"),
-            "--model", str(model_env),
-        )
-        monkeypatch.delenv("OFS_THREADS")
-        run(
-            capsys,
-            "train",
-            "--algo", "sofs",
-            "--B", "25",
-            "--data", str(dataset / "train.svm"),
-            "--model", str(model_arg),
-            "--threads", "1",
-        )
-        assert model_env.read_text() == model_arg.read_text()
 
 
 class TestSweepCommand:
@@ -291,7 +300,6 @@ class TestSweepCommand:
             "--test", str(dataset / "test.svm"),
             "--repeats", "2",
             "--csv", str(csv),
-            "--threads", "1",
             "--dim", "400",
         )
         assert code == 0

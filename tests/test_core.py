@@ -4,12 +4,11 @@ import pytest
 from ofs.core import (
     DenseVector,
     SparseExample,
-    hinge,
-    predict,
     sparse_dot,
     squared_hinge,
     squared_hinge_grad,
 )
+from ofs.learners import OgdModel
 
 
 def ex(label, *pairs):
@@ -150,21 +149,29 @@ class TestSparseDot:
 
 
 class TestPredict:
+    """``OnlineLearner.predict``: the sign of the margin, with sign(0) = +1."""
+
+    @staticmethod
+    def predict(weights, x):
+        m = OgdModel()
+        m.w = weights
+        return m.predict(x)
+
     def test_positive(self):
-        assert predict(DenseVector.from_array([1.0]), ex(1, (0, 1.0))) == 1
+        assert self.predict(DenseVector.from_array([1.0]), ex(1, (0, 1.0))) == 1
 
     def test_negative(self):
-        assert predict(DenseVector.from_array([1.0]), ex(1, (0, -1.0))) == -1
+        assert self.predict(DenseVector.from_array([1.0]), ex(1, (0, -1.0))) == -1
 
     def test_sign_zero_is_plus_one(self):
-        assert predict(DenseVector(1), ex(1, (0, 5.0))) == 1
+        assert self.predict(DenseVector(1), ex(1, (0, 5.0))) == 1
 
     def test_always_in_label_set(self):
         rng = np.random.default_rng(4)
         w = DenseVector.from_array(rng.standard_normal(8))
         for _ in range(50):
             x = ex(1, *((i, float(v)) for i, v in enumerate(rng.standard_normal(8))))
-            assert predict(w, x) in (-1, 1)
+            assert self.predict(w, x) in (-1, 1)
 
 
 class TestLosses:
@@ -178,12 +185,6 @@ class TestLosses:
     def test_squared_hinge_half_margin(self):
         w = DenseVector.from_array([0.5])
         assert squared_hinge(w, ex(1, (0, 1.0)), 1) == 0.25
-
-    def test_hinge_values(self):
-        w = DenseVector.from_array([0.5])
-        assert hinge(w, ex(1, (0, 1.0)), 1) == 0.5
-        assert hinge(w, ex(1, (0, 1.0)), -1) == 1.5
-        assert hinge(DenseVector.from_array([2.0]), ex(1, (0, 1.0)), 1) == 0.0
 
     def test_nonnegative_and_zero_iff_margin_ge_one(self):
         rng = np.random.default_rng(5)

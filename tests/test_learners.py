@@ -98,10 +98,13 @@ class TestArow:
             assert m.update(x) == expect
 
     def test_gamma_validation(self):
+        for gamma in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="gamma must be positive and finite"):
+                ArowModel(gamma=gamma)
         with pytest.raises(ValueError):
-            ArowModel(gamma=0.0)
+            make_learner("sofs", budget=5, gamma=float("nan"))
         with pytest.raises(ValueError):
-            ArowModel(gamma=-1.0)
+            make_learner("arow", gamma=float("inf"))
 
     def test_nonzero_count_unbounded(self):
         rng = np.random.default_rng(14)
@@ -289,8 +292,11 @@ class TestFofs:
                 assert m.nonzero_count() <= 6
 
     def test_lambda_validation(self):
+        for lam in (0.0, -0.5, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="lambda must be positive and finite"):
+                FofsModel(budget=1, lam=lam)
         with pytest.raises(ValueError):
-            FofsModel(budget=1, lam=0.0)
+            make_learner("fofs", budget=5, lam=float("nan"))
 
 
 class TestOgd:
@@ -323,8 +329,13 @@ class TestOgd:
         assert m.nonzero_count() == 0
 
     def test_negative_eta_rejected(self):
+        for eta in (-0.1, float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match="eta must be non-negative and finite"):
+                OgdModel(eta=eta)
         with pytest.raises(ValueError):
-            OgdModel(eta=-0.1)
+            make_learner("ogd", eta=float("nan"))
+        with pytest.raises(ValueError):
+            make_learner("pet", budget=5, eta=float("nan"))
 
 
 class TestMakeLearner:
@@ -440,6 +451,33 @@ class TestPersistence:
         with pytest.raises(ValueError) as info:
             load_model(path)
         assert str(info.value) == f"{path}: line 3: {message}"
+
+    @pytest.mark.parametrize(
+        "header,message",
+        [
+            pytest.param("OFSMODEL v1 sofs x 3 gamma=1.0", "d must be an integer >= 0, got 'x'", id="x"),
+            pytest.param("OFSMODEL v1 sofs 4 3 gamma=nan", "gamma must be positive and finite, got nan", id="nan"),
+            pytest.param("OFSMODEL v1 ogd -5 0 eta=0.2 t=3", "d must be an integer >= 0, got '-5'", id="-5"),
+            pytest.param(
+                "OFSMODEL v1 ogd 4 0 eta=0.2 t=3 bogus=7", "ogd keys must be eta, t, got eta, t, bogus", id="bogus=7"
+            ),
+            pytest.param("OFSMODEL v1 sofs 4 3 gamma", "expected key=value, got 'gamma'", id="gamma"),
+            pytest.param("OFSMODEL v1 ogd 4 0 eta=0.2 t=2.7", "t must be an integer >= 0, got '2.7'", id="t=2.7"),
+            pytest.param("OFSMODEL v1 svm 4 0", "unknown algorithm 'svm'", id="svm"),
+            pytest.param("OFSMODEL v1 pet 4 0 eta=0.2", "pet needs B >= 1, got 0", id="B=0"),
+            pytest.param("OFSMODEL v1 pet 4 +3 eta=0.2", "B must be an integer >= 0, got '+3'", id="B=+3"),
+            pytest.param("OFSMODEL v1 arow 4 2 gamma=1.0", "arow has no budget, so B must be 0, got 2", id="arow-B=2"),
+            pytest.param("OFSMODEL v1 fofs 4 2 eta=0.2", "fofs keys must be eta, lambda, got eta", id="no-lambda"),
+            pytest.param("OFSMODEL v1 sofs 4 3 gamma=1.0 gamma=2.0", "duplicate key 'gamma'", id="duplicate"),
+            pytest.param("OFSMODEL v1 ogd 4 0 eta=fast t=0", "eta must be a number, got 'fast'", id="eta=fast"),
+        ],
+    )
+    def test_reject_corrupt_header(self, header, message, tmp_path):
+        path = tmp_path / "corrupt.txt"
+        path.write_text(header + "\n")
+        with pytest.raises(ValueError) as info:
+            load_model(path)
+        assert str(info.value) == f"{path}: line 1: {message}"
 
     def test_reject_non_finite_first_order_weight(self, tmp_path):
         path = tmp_path / "corrupt.txt"

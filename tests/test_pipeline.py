@@ -1,5 +1,6 @@
 import os
 import tempfile
+import threading
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from ofs.pipeline import (
     CvGrid,
     RunReport,
     _RowCache,
-    _thread_count,
     benchmark_sweep,
     cross_validate,
     evaluate,
@@ -40,24 +40,24 @@ SEPARABLE = [
 class TestTrainStream:
     def test_empty_stream(self):
         m = make_learner("arow")
-        result = train_stream(m, [], threads=1)
+        result = train_stream(m, [])
         assert result.mistakes == 0
         assert result.examples == 0
         assert m.nonzero_count() == 0
 
     def test_sign_zero_counts_first_negative_as_mistake(self):
         m = make_learner("arow")
-        result = train_stream(m, [ex(-1, (0, 1.0))], threads=1)
+        result = train_stream(m, [ex(-1, (0, 1.0))])
         assert result.mistakes == 1
 
     def test_first_positive_is_not_a_mistake(self):
         m = make_learner("arow")
-        result = train_stream(m, [ex(1, (0, 1.0))], threads=1)
+        result = train_stream(m, [ex(1, (0, 1.0))])
         assert result.mistakes == 0
 
     def test_separable_toy_set_learned_by_arow(self):
         m = ArowModel()
-        train_stream(m, SEPARABLE, threads=1)
+        train_stream(m, SEPARABLE)
         assert evaluate(m, SEPARABLE) == 1.0
 
     def test_single_pass_contract(self):
@@ -70,40 +70,43 @@ class TestTrainStream:
                 calls.append(x)
                 return super().update(x)
 
-        train_stream(Spy(), stream, threads=1)
+        train_stream(Spy(), stream)
         assert len(calls) == len(SEPARABLE)
         assert [id(c) for c in calls] == [id(s) for s in SEPARABLE]
 
-    @pytest.mark.parametrize("algo,budget", [("sofs", 10), ("pet", 10), ("ogd", None)])
-    def test_threaded_equals_serial(self, algo, budget):
-        rng = np.random.default_rng(30)
-        examples = random_stream(rng, 1200, 100)
-        serial = make_learner(algo, budget=budget)
-        threaded = make_learner(algo, budget=budget)
-        rs = train_stream(serial, examples, threads=1)
-        rt = train_stream(threaded, examples, threads=2)
-        assert rs.mistakes == rt.mistakes
-        assert rs.examples == rt.examples == 1200
-        assert serial.weights.to_list() == threaded.weights.to_list()
-
-    def test_small_queue_capacity_still_ordered(self):
-        rng = np.random.default_rng(31)
-        examples = random_stream(rng, 500, 60)
-        a = make_learner("arow")
-        b = make_learner("arow")
-        train_stream(a, examples, threads=1)
-        train_stream(b, examples, threads=2, queue_capacity=4)
-        assert a.weights.to_list() == b.weights.to_list()
-
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_parse_error_carries_example_ordinal(self, tmp_path, threads):
+    def test_parse_error_carries_example_ordinal(self, tmp_path):
         path = tmp_path / "bad.svm"
         path.write_text("+1 1:1.0\n-1 2:1.0\n+1 3:oops\n")
         m = make_learner("arow")
         with pytest.raises(LibsvmFormatError) as info:
-            train_stream(m, DatasetStream.from_file(path), threads=threads)
+            train_stream(m, DatasetStream.from_file(path))
         assert info.value.line_no == 3
         assert info.value.example_ordinal == 2
+
+    def test_learner_error_surfaces_and_leaves_no_thread(self, tmp_path):
+        # long enough that a reader running ahead of the learner would fill
+        # any bounded queue and block on it
+        path = tmp_path / "long.svm"
+        path.write_text("+1 1:1.0 2:0.5\n-1 2:1.0 3:0.25\n" * 1500)
+
+        class Failing(ArowModel):
+            seen = 0
+
+            def update(self, x):
+                self.seen += 1
+                if self.seen == 7:
+                    raise RuntimeError("update 7 failed")
+                return super().update(x)
+
+        before = threading.enumerate()
+        with pytest.raises(RuntimeError, match="update 7 failed"):
+            train_stream(Failing(), DatasetStream.from_file(path))
+        assert threading.enumerate() == before
+
+    @pytest.mark.parametrize("threads", [0, 2])
+    def test_only_one_thread_accepted(self, threads):
+        with pytest.raises(ValueError, match="one thread"):
+            train_stream(make_learner("arow"), SEPARABLE, threads=threads)
 
 
 class TestEvaluate:
@@ -116,7 +119,7 @@ class TestEvaluate:
         rng = np.random.default_rng(32)
         examples = random_stream(rng, 100, 20)
         m = make_learner("sofs", budget=5)
-        train_stream(m, examples[:50], threads=1)
+        train_stream(m, examples[:50])
         state = m.weights.to_list()
         first = evaluate(m, examples[50:])
         second = evaluate(m, examples[50:])
@@ -177,7 +180,7 @@ class TestCrossValidate:
         test_acc = {}
         for g in grid.gammas:
             m = make_learner("sofs", budget=25, gamma=g)
-            train_stream(m, train, threads=1)
+            train_stream(m, train)
             test_acc[g] = evaluate(m, test)
         chosen = test_acc[best["gamma"]]
         assert chosen >= max(test_acc.values()) - 0.01
@@ -199,7 +202,7 @@ class TestSweep:
 
     def test_shapes_and_seeds(self):
         train, test = self.desk_data()
-        reports = benchmark_sweep(["sofs", "pet"], [10, 20], train, test, repeats=3, base_seed=100, threads=1)
+        reports = benchmark_sweep(["sofs", "pet"], [10, 20], train, test, repeats=3, base_seed=100)
         assert len(reports) == 12
         assert sorted({r.seed for r in reports}) == [100, 101, 102]
         for r in reports:
@@ -209,7 +212,7 @@ class TestSweep:
 
     def test_dense_baseline_once_per_repeat(self):
         train, test = self.desk_data(seed=53)
-        reports = benchmark_sweep(["sofs", "ogd"], [10, 20, 50], train, test, repeats=2, threads=1)
+        reports = benchmark_sweep(["sofs", "ogd"], [10, 20, 50], train, test, repeats=2)
         ogd = [r for r in reports if r.algo == "ogd"]
         assert len(ogd) == 2
         assert [r.budget for r in ogd] == [0, 0]
@@ -219,8 +222,8 @@ class TestSweep:
 
     def test_deterministic_modulo_timing(self):
         train, test = self.desk_data(seed=51)
-        a = benchmark_sweep(["sofs"], [15], train, test, repeats=2, base_seed=7, threads=1)
-        b = benchmark_sweep(["sofs"], [15], train, test, repeats=2, base_seed=7, threads=1)
+        a = benchmark_sweep(["sofs"], [15], train, test, repeats=2, base_seed=7)
+        b = benchmark_sweep(["sofs"], [15], train, test, repeats=2, base_seed=7)
         for ra, rb in zip(a, b):
             assert (ra.algo, ra.budget, ra.seed, ra.accuracy, ra.mistakes, ra.sparsity_pct) == (
                 rb.algo,
@@ -236,7 +239,7 @@ class TestSweep:
         # same algorithm twice in one sweep must see the same stream order,
         # giving identical rows apart from timing
         train, test = self.desk_data(seed=52)
-        reports = benchmark_sweep(["sofs", "sofs"], [15], train, test, repeats=1, threads=1)
+        reports = benchmark_sweep(["sofs", "sofs"], [15], train, test, repeats=1)
         assert reports[0].mistakes == reports[1].mistakes
         assert reports[0].accuracy == reports[1].accuracy
         assert reports[0].selected == reports[1].selected
@@ -247,7 +250,7 @@ class TestSweep:
         train, test, _ = generate_synthetic(spec)
         train = DatasetStream.from_examples(train, dim=300)
         test = DatasetStream.from_examples(test, dim=300)
-        (r,) = benchmark_sweep(["sofs"], [250], train, test, repeats=1, threads=1)
+        (r,) = benchmark_sweep(["sofs"], [250], train, test, repeats=1)
         nnz = 300 * (1.0 - r.sparsity_pct / 100.0)
         assert nnz <= 20 + 1e-9
 
@@ -261,9 +264,9 @@ class TestSweep:
         file_stream = DatasetStream.from_file(path, dim=200)
         test_stream = DatasetStream.from_examples(test, dim=200)
 
-        mem = benchmark_sweep(["sofs"], [10], file_stream, test_stream, repeats=2, threads=1)
+        mem = benchmark_sweep(["sofs"], [10], file_stream, test_stream, repeats=2)
         disk = benchmark_sweep(
-            ["sofs"], [10], file_stream, test_stream, repeats=2, threads=1, max_in_memory=10
+            ["sofs"], [10], file_stream, test_stream, repeats=2, max_in_memory=10
         )
         for ra, rb in zip(mem, disk):
             assert ra.accuracy == rb.accuracy
@@ -273,7 +276,7 @@ class TestSweep:
     def test_oversized_unbacked_stream_rejected(self):
         train, test = self.desk_data(seed=55)
         with pytest.raises(ValueError):
-            benchmark_sweep(["sofs"], [10], train, test, repeats=1, threads=1, max_in_memory=10)
+            benchmark_sweep(["sofs"], [10], train, test, repeats=1, max_in_memory=10)
 
     def test_accuracy_rises_with_budget_until_idim(self):
         spec = SyntheticSpec(n_train=2000, n_test=500, dim=500, idim=40, ndim=80, seed=56)
@@ -282,7 +285,7 @@ class TestSweep:
         test = DatasetStream.from_examples(test, dim=500)
         acc = {}
         for budget in (10, 20, 40, 80):
-            (r,) = benchmark_sweep(["sofs"], [budget], train, test, repeats=1, threads=1)
+            (r,) = benchmark_sweep(["sofs"], [budget], train, test, repeats=1)
             acc[budget] = r.accuracy
         assert acc[20] >= acc[10] - 0.01
         assert acc[40] >= acc[20] - 0.01
@@ -290,7 +293,7 @@ class TestSweep:
 
     def test_csv_output(self, tmp_path):
         train, test = self.desk_data(seed=57)
-        reports = benchmark_sweep(["pet"], [10], train, test, repeats=2, threads=1)
+        reports = benchmark_sweep(["pet"], [10], train, test, repeats=2)
         path = tmp_path / "out.csv"
         write_reports_csv(reports, path)
         lines = path.read_text().splitlines()
@@ -359,7 +362,7 @@ class TestSweepCache:
 
         monkeypatch.setattr(data, "parse_libsvm_line", counting)
         reports = benchmark_sweep(
-            ["sofs", "ogd"], [10, 20], train, test, repeats=3, threads=1, max_in_memory=max_in_memory
+            ["sofs", "ogd"], [10, 20], train, test, repeats=3, max_in_memory=max_in_memory
         )
         assert len(reports) == 9  # three rows per repeat
         assert len(calls) == self.N_TRAIN + self.N_TEST
@@ -367,8 +370,8 @@ class TestSweepCache:
     def test_spilled_test_file_gives_identical_rows(self, tmp_path):
         train, test = self.files(tmp_path, seed=61)
         args = (["sofs", "pet", "ogd"], [5, 15], train, test)
-        mem = benchmark_sweep(*args, repeats=2, base_seed=3, threads=1)
-        spilled = benchmark_sweep(*args, repeats=2, base_seed=3, threads=1, max_in_memory=self.N_TEST - 1)
+        mem = benchmark_sweep(*args, repeats=2, base_seed=3)
+        spilled = benchmark_sweep(*args, repeats=2, base_seed=3, max_in_memory=self.N_TEST - 1)
         assert _row_fields(spilled) == _row_fields(mem)
 
     def test_malformed_test_line_fails_before_training(self, tmp_path, monkeypatch):
@@ -378,7 +381,7 @@ class TestSweepCache:
         trained = []
         monkeypatch.setattr(pipeline, "train_stream", lambda *a, **k: trained.append(a))
         with pytest.raises(LibsvmFormatError, match=f"^line {self.N_TEST + 1}: "):
-            benchmark_sweep(["sofs"], [10], train, test, repeats=2, threads=1)
+            benchmark_sweep(["sofs"], [10], train, test, repeats=2)
         assert trained == []
 
     @pytest.mark.parametrize("malformed", [False, True])
@@ -401,10 +404,10 @@ class TestSweepCache:
         monkeypatch.setattr(pipeline, "_RowCache", spying)
         if malformed:
             with pytest.raises(LibsvmFormatError):
-                benchmark_sweep(["sofs"], [10], train, test, repeats=1, threads=1, max_in_memory=10)
+                benchmark_sweep(["sofs"], [10], train, test, repeats=1, max_in_memory=10)
             assert spilled == [True]  # the train cache spilled, then the test file failed
         else:
-            benchmark_sweep(["sofs"], [10], train, test, repeats=1, threads=1, max_in_memory=10)
+            benchmark_sweep(["sofs"], [10], train, test, repeats=1, max_in_memory=10)
             assert spilled == [True, True]
         assert os.listdir(scratch) == []
 
@@ -429,17 +432,3 @@ class TestRowCache:
         empty = [SparseExample(1, np.empty(0, np.int64), np.empty(0))] * 3
         cache = _RowCache(DatasetStream.from_examples(empty), 1, str(tmp_path), "t")
         assert [(ex.label, ex.nnz) for ex in cache.rows()] == [(1, 0)] * 3
-
-
-class TestThreadCount:
-    def test_explicit_argument_wins(self, monkeypatch):
-        monkeypatch.setenv("OFS_THREADS", "8")
-        assert _thread_count(1) == 1
-
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("OFS_THREADS", "1")
-        assert _thread_count(None) == 1
-
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv("OFS_THREADS", raising=False)
-        assert _thread_count(None) == 2
