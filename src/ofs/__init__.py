@@ -5,7 +5,7 @@ from .core import (
     SparseExample,
     sparse_dot,
     squared_hinge,
-    squared_hinge_grad,
+    squared_hinge_slope,
 )
 from .data import (
     DatasetStream,
@@ -40,6 +40,6 @@ from .pipeline import (
     train_stream,
     write_reports_csv,
 )
-from .topb import Outcome, TopBTracker
+from .topb import TopBTracker
 
 __version__ = "0.1.0"

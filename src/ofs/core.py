@@ -81,8 +81,8 @@ class DenseVector:
     """Contiguous float64 vector that grows on demand and never shrinks.
 
     Cells created by growth take the configured ``fill`` value (0 for
-    weights, 1 for a covariance diagonal). Reads beyond the current length
-    return ``fill`` without growing; writes grow the vector.
+    weights, 1 for a covariance diagonal). Cells are read and written
+    through :attr:`array`; only :meth:`ensure` grows the vector.
     """
 
     __slots__ = ("_buf", "_n", "fill")
@@ -119,20 +119,6 @@ class DenseVector:
             self._buf = buf
         # slack cells were pre-filled, so extending the live region suffices
         self._n = n
-
-    def get(self, i: int) -> float:
-        if i < 0:
-            raise IndexError("negative index")
-        return float(self._buf[i]) if i < self._n else self.fill
-
-    __getitem__ = get
-
-    def __setitem__(self, i: int, value: float) -> None:
-        if i < 0:
-            raise IndexError("negative index")
-        if i >= self._n:
-            self.ensure(i + 1)
-        self._buf[i] = value
 
     def to_list(self) -> list[float]:
         return self.array.tolist()
@@ -172,11 +158,12 @@ def squared_hinge(w: DenseVector, x: SparseExample, y: int) -> float:
     return h * h
 
 
-def squared_hinge_grad(w: DenseVector, x: SparseExample, y: int) -> np.ndarray:
-    """Gradient of the squared hinge w.r.t. ``w`` on the active coordinates.
+def squared_hinge_slope(margin: float, y: int) -> float:
+    """Derivative of the squared hinge (max(0, 1 - y * margin))^2 w.r.t. the margin.
 
-    Returns an array aligned with ``x.indices``; all other coordinates of
-    the gradient are zero.
+    The gradient w.r.t. the weights on the active coordinates is this
+    slope times ``x.values``; the second-order step scales it by the
+    covariance.
     """
-    h = max(0.0, 1.0 - y * sparse_dot(w, x))
-    return (-2.0 * h * y) * x.values
+    h = 1.0 - y * margin
+    return -2.0 * h * y if h > 0.0 else 0.0

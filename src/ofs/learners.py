@@ -23,7 +23,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .core import DenseVector, SparseExample, sparse_dot
+from .core import DenseVector, SparseExample, sparse_dot, squared_hinge_slope
 from .topb import TopBTracker
 
 ALGOS = ("sofs", "pet", "fofs", "ogd", "arow")
@@ -31,6 +31,20 @@ BUDGETED = frozenset({"sofs", "pet", "fofs"})
 
 MODEL_MAGIC = "OFSMODEL"
 MODEL_VERSION = "v1"
+
+# hyperparameter -> whether 0 is allowed; eta = 0 yields a learner that
+# never moves, useful as a degenerate grid point
+_ZERO_ALLOWED = {"gamma": False, "eta": True, "lambda": False}
+
+
+def _check_hyperparam(name: str, value: float) -> float:
+    """Return ``value`` as a float, or raise ``ValueError`` if it is not a
+    finite number > 0 (>= 0 for ``eta``)."""
+    zero_ok = _ZERO_ALLOWED[name]
+    if not (math.isfinite(value) and (value >= 0.0 if zero_ok else value > 0.0)):
+        sign = "non-negative" if zero_ok else "positive"
+        raise ValueError(f"{name} must be {sign} and finite, got {value}")
+    return float(value)
 
 
 def truncate(w: DenseVector, budget: int) -> DenseVector:
@@ -105,9 +119,7 @@ class _SecondOrder(OnlineLearner):
     """
 
     def __init__(self, gamma: float = 1.0):
-        if not (math.isfinite(gamma) and gamma > 0.0):
-            raise ValueError(f"gamma must be positive and finite, got {gamma}")
-        self.gamma = float(gamma)
+        self.gamma = _check_hyperparam("gamma", gamma)
         self.mu = DenseVector(fill=0.0)
         self.sigma = DenseVector(fill=1.0)
 
@@ -125,17 +137,18 @@ class _SecondOrder(OnlineLearner):
     def _arow_step(self, idx: np.ndarray, vals: np.ndarray, y: int, margin: float) -> np.ndarray:
         """Closed-form second-order update on the active coordinates.
 
-        With ``c = (1 - y * margin) * y / (sum(sigma * x^2) + gamma)`` the
-        step is ``mu += c * sigma * x`` and ``sigma <- sigma * gamma /
-        (gamma + sigma * x^2)``. Caller gates on positive squared hinge
-        loss, i.e. y * margin < 1. Returns the refreshed covariance values
-        aligned with ``idx``.
+        With ``slope`` the :func:`squared_hinge_slope` at ``margin`` and
+        ``c = -slope / 2 / (sum(sigma * x^2) + gamma)``, which is ``(1 - y *
+        margin) * y / (...)``, the step is ``mu += c * sigma * x`` and
+        ``sigma <- sigma * gamma / (gamma + sigma * x^2)``. Caller gates on
+        positive squared hinge loss, i.e. y * margin < 1. Returns the
+        refreshed covariance values aligned with ``idx``.
         """
         gamma = self.gamma
         sig = self.sigma.array
         sx = sig[idx]
         sxv = sx * vals
-        c = (1.0 - y * margin) * y / (float(sxv @ vals) + gamma)
+        c = -0.5 * squared_hinge_slope(margin, y) / (float(sxv @ vals) + gamma)
         self.mu.array[idx] += c * sxv
         new_sig = sx * gamma / (gamma + sxv * vals)
         sig[idx] = new_sig
@@ -190,11 +203,7 @@ class FirstOrderModel(OnlineLearner):
     """Dense weight vector with a constant learning rate."""
 
     def __init__(self, eta: float = 0.2, budget: Optional[int] = None):
-        # eta = 0 yields a learner that never moves; useful as a degenerate
-        # grid point, so only negative and non-finite rates are rejected
-        if not (math.isfinite(eta) and eta >= 0.0):
-            raise ValueError(f"eta must be non-negative and finite, got {eta}")
-        self.eta = float(eta)
+        self.eta = _check_hyperparam("eta", eta)
         self.budget = budget
         self.w = DenseVector(fill=0.0)
 
@@ -249,10 +258,9 @@ class FofsModel(FirstOrderModel):
     def __init__(self, budget: int, eta: float = 0.2, lam: float = 0.01):
         if budget is None or budget < 1:
             raise ValueError("fofs requires a selection budget B >= 1")
-        if not (math.isfinite(lam) and lam > 0.0):
-            raise ValueError(f"lambda must be positive and finite, got {lam}")
+        lam = _check_hyperparam("lambda", lam)
         super().__init__(eta=eta, budget=int(budget))
-        self.lam = float(lam)
+        self.lam = lam
 
     def hyperparams(self) -> Dict[str, float]:
         return {"eta": self.eta, "lambda": self.lam}
@@ -302,7 +310,13 @@ def make_learner(
     eta: float = 0.2,
     lam: float = 0.01,
 ) -> OnlineLearner:
-    """Construct a learner by name; budgeted algorithms require ``budget``."""
+    """Construct a learner by name; budgeted algorithms require ``budget``.
+
+    gamma, eta and lambda are checked whichever algorithm reads them, so a
+    bad value is rejected even when ``algo`` ignores it.
+    """
+    for name, value in (("gamma", gamma), ("eta", eta), ("lambda", lam)):
+        _check_hyperparam(name, value)
     if algo in BUDGETED and (budget is None or budget < 1):
         raise ValueError(f"{algo} requires a selection budget B >= 1")
     if algo == "sofs":

@@ -21,7 +21,7 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .core import DenseVector, grown_capacity
+from .core import grown_capacity
 
 
 class Outcome(Enum):
@@ -38,20 +38,15 @@ class TopBTracker:
 
     ``score`` maps an index array to the current scores of those features;
     the tracker calls it for kept features only when the kept set may
-    change. Without one, a feature's score is the last value passed for it
-    to :meth:`select` or :meth:`offer`.
+    change.
     """
 
-    __slots__ = ("capacity", "score", "_offered", "_mask", "_keys", "_n", "_bound")
+    __slots__ = ("capacity", "score", "_mask", "_keys", "_n", "_bound")
 
-    def __init__(self, capacity: int, score: Optional[Callable[[np.ndarray], np.ndarray]] = None):
+    def __init__(self, capacity: int, score: Callable[[np.ndarray], np.ndarray]):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = int(capacity)
-        self._offered = None
-        if score is None:
-            offered = self._offered = DenseVector(fill=np.inf)
-            score = lambda ix: offered.array[ix]
         self.score = score
         self._mask = np.zeros(0, dtype=bool)
         self._keys = np.empty(self.capacity, dtype=np.int64)
@@ -62,28 +57,8 @@ class TopBTracker:
     def __len__(self) -> int:
         return self._n
 
-    def contains(self, idx: int) -> bool:
-        return 0 <= idx < len(self._mask) and bool(self._mask[idx])
-
-    __contains__ = contains
-
-    def value_of(self, idx: int) -> float:
-        if not self.contains(idx):
-            raise KeyError(idx)
-        return float(self.score(np.array([idx]))[0])
-
-    def limit(self) -> Optional[float]:
-        """The worst kept score once the set is full, else None."""
-        if self._n < self.capacity:
-            return None
-        return float(self.score(self._keys).max())
-
     def indices(self) -> List[int]:
         return self._keys[: self._n].tolist()
-
-    def items(self) -> List[Tuple[int, float]]:
-        keys = self._keys[: self._n]
-        return list(zip(keys.tolist(), self.score(keys).tolist()))
 
     def select(self, idx: np.ndarray, scores: Optional[np.ndarray] = None) -> np.ndarray:
         """Keep the B first in (score, index) order among kept and ``idx``.
@@ -97,9 +72,6 @@ class TopBTracker:
             return idx
         if scores is None:
             scores = self.score(idx)
-        elif self._offered is not None:
-            self._offered.ensure(int(idx[-1]) + 1)
-            self._offered.array[idx] = scores
         if idx[-1] >= len(self._mask):
             self._grow(int(idx[-1]) + 1)
         inside = self._mask[idx]
@@ -124,16 +96,17 @@ class TopBTracker:
         return np.concatenate((new[~near], self._reselect(new[near], s[near])))
 
     def offer(self, idx: int, value: float) -> Tuple[Outcome, Optional[int]]:
-        """One-feature form of :meth:`select`.
+        """One-feature form of :meth:`select`; ``value`` is the current score of ``idx``.
 
         Returns the outcome plus the evicted feature index when admission
-        displaced one.
+        displaced one. The learners call :meth:`select`; the benchmark's
+        traced run wraps this method by name.
         """
-        kept = self.contains(idx)
+        kept = idx < len(self._mask) and bool(self._mask[idx])
         dropped = self.select(np.array([idx], dtype=np.int64), np.array([value], dtype=np.float64))
         if kept:
             return Outcome.ADJUSTED_IN_PLACE, None
-        if not self.contains(idx):
+        if not self._mask[idx]:
             return Outcome.REJECTED, None
         if len(dropped):
             return Outcome.ADMITTED_EVICTING, int(dropped[0])

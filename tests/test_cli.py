@@ -149,6 +149,22 @@ class TestDataErrors:
         assert "nan" in err
         assert not model.exists()
 
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_unread_hyperparameter_exits_one(self, tmp_path, capsys, command):
+        # ogd reads neither gamma nor lambda; both are checked all the same
+        data = tmp_path / "d.svm"
+        data.write_text("+1 1:1\n-1 2:1\n")
+        model = tmp_path / "m"
+        if command == "train":
+            argv = ["train", "--algo", "ogd", "--data", str(data), "--model", str(model)]
+        else:
+            argv = ["sweep", "--algos", "ogd", "--B", "1", "--train", str(data), "--test", str(data), "--repeats", "1"]
+        code, out, err = run(capsys, *argv, "--gamma", "nan", "--lambda", "-3")
+        assert code == 1
+        assert err == "ofs: gamma must be positive and finite, got nan\n"
+        assert out == ""
+        assert not model.exists()
+
     def test_corrupt_model_header_exits_one(self, tmp_path, capsys):
         data = tmp_path / "d.svm"
         data.write_text("+1 1:1\n")

@@ -1,7 +1,10 @@
 import gzip
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ofs.core import SparseExample
 from ofs.data import (
@@ -81,6 +84,25 @@ class TestParseLine:
         assert list(ex.pairs()) == [(0, 1e308), (1, 1e308)]
 
 
+@st.composite
+def libsvm_lines(draw):
+    """Lines shaped like libsvm, with the spellings a file may carry."""
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    value = st.one_of(
+        finite.map(repr),
+        finite.map(lambda v: f"{v:g}"),
+        st.integers(-(10**6), 10**6).map(str),
+        st.sampled_from(["0", "-0", "+1.5", "1e-320", "1E3", ".5", "5.", "1_0", "nan", "-inf", "x", ""]),
+    )
+    label = draw(st.sampled_from(["1", "+1", "-1", "0", "2", "+0"]))
+    idx = draw(st.lists(st.integers(-1, 2**62), max_size=10))
+    if draw(st.integers(0, 3)):  # mostly ascending, so most lines parse
+        idx = sorted(set(idx))
+    sep = draw(st.sampled_from([" ", "\t", "  "]))
+    feats = [f"{i}:{draw(value)}" for i in idx]
+    return sep.join([label] + feats) + draw(st.sampled_from(["", "\n", " \r\n"]))
+
+
 class TestReadWrite:
     def roundtrip(self, path, examples):
         write_libsvm(examples, path)
@@ -113,6 +135,27 @@ class TestReadWrite:
             assert a.values.tolist() == b.values.tolist()
         with gzip.open(tmp_path / "d.svm.gz", "rt") as fh:  # really gzip bytes
             assert fh.readline().split()[0] in ("+1", "-1")
+
+    @settings(max_examples=300, deadline=None)
+    @given(lines=st.lists(st.one_of(st.text(max_size=30), libsvm_lines()), min_size=1, max_size=8))
+    def test_any_accepted_line_round_trips(self, lines):
+        accepted = []
+        for line in lines:
+            try:
+                ex = parse_libsvm_line(line)
+            except LibsvmFormatError:
+                continue
+            if ex is not None:
+                accepted.append(ex)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "round.svm"
+            write_libsvm(accepted, path)
+            back = list(read_libsvm(path))
+        assert len(back) == len(accepted)
+        for got, want in zip(back, accepted):
+            assert got.label == want.label
+            assert np.array_equal(got.indices, want.indices)
+            assert got.values.tobytes() == want.values.tobytes()
 
     def test_read_reports_line_numbers(self, tmp_path):
         path = tmp_path / "bad.svm"
