@@ -85,48 +85,49 @@ class DenseVector:
     through :attr:`array`; only :meth:`ensure` grows the vector.
     """
 
-    __slots__ = ("_buf", "_n", "fill")
+    __slots__ = ("_buf", "_live", "fill")
 
     def __init__(self, size: int = 0, fill: float = 0.0):
         if size < 0:
             raise ValueError("size must be non-negative")
         self.fill = float(fill)
-        self._n = int(size)
-        self._buf = np.full(max(self._n, 8), self.fill, dtype=np.float64)
+        self._buf = np.full(max(size, 8), self.fill, dtype=np.float64)
+        self._live = self._buf[:size]
 
     @classmethod
     def from_array(cls, values, fill: float = 0.0) -> "DenseVector":
         arr = np.asarray(values, dtype=np.float64)
         vec = cls(len(arr), fill)
-        vec._buf[: len(arr)] = arr
+        vec._live[:] = arr
         return vec
 
     def __len__(self) -> int:
-        return self._n
+        return len(self._live)
 
     @property
     def array(self) -> np.ndarray:
         """View of the live cells; writes go through to the vector."""
-        return self._buf[: self._n]
+        return self._live
 
     def ensure(self, n: int) -> None:
         """Grow the live region to at least ``n`` cells."""
-        if n <= self._n:
+        old = len(self._live)
+        if n <= old:
             return
         if n > len(self._buf):
             buf = np.full(grown_capacity(n), self.fill, dtype=np.float64)
-            buf[: self._n] = self._buf[: self._n]
+            buf[:old] = self._live
             self._buf = buf
         # slack cells were pre-filled, so extending the live region suffices
-        self._n = n
+        self._live = self._buf[:n]
 
     def to_list(self) -> list[float]:
         return self.array.tolist()
 
     def __repr__(self) -> str:
         shown = ", ".join(f"{v:g}" for v in self.array[:8])
-        tail = ", ..." if self._n > 8 else ""
-        return f"DenseVector([{shown}{tail}], len={self._n}, fill={self.fill:g})"
+        tail = ", ..." if len(self) > 8 else ""
+        return f"DenseVector([{shown}{tail}], len={len(self)}, fill={self.fill:g})"
 
 
 def sparse_dot(w: DenseVector, x: SparseExample) -> float:
@@ -138,14 +139,14 @@ def sparse_dot(w: DenseVector, x: SparseExample) -> float:
     idx = x.indices
     if len(idx) == 0:
         return 0.0
-    n = len(w)
-    if n == 0:
-        return 0.0
     a = w.array
-    if int(idx[-1]) < n:
-        return float(a[idx] @ x.values)
+    n = len(a)
+    # + 0.0 maps the -0.0 that a one-term ndarray.dot can return to 0.0,
+    # as a summed dot product (or ``@``) gives
+    if idx[-1] < n:
+        return float(a[idx].dot(x.values)) + 0.0
     m = int(np.searchsorted(idx, n))  # indices are sorted, so a prefix is in range
-    return float(a[idx[:m]] @ x.values[:m])
+    return float(a[idx[:m]].dot(x.values[:m])) + 0.0
 
 
 def squared_hinge(w: DenseVector, x: SparseExample, y: int) -> float:

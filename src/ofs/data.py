@@ -11,6 +11,7 @@ import numpy as np
 from .core import SparseExample
 
 _LABEL_MAP = {"+1": 1, "1": 1, "-1": -1, "0": -1}
+_INDEX_LIMIT = 2**63  # 1-based indices below it fit int64 once shifted to 0-based
 
 
 class LibsvmFormatError(ValueError):
@@ -27,8 +28,8 @@ def parse_libsvm_line(line: str, line_no: int = 0) -> Optional[SparseExample]:
     Labels map {1, +1} to +1 and {0, -1} to -1. Feature indices are 1-based
     and strictly ascending on disk and are shifted to 0-based; zero-valued
     entries are dropped. Blank lines yield None. Anything else, including
-    a NaN or infinite value, raises :class:`LibsvmFormatError` pointing at
-    the offending token.
+    an index >= 2**63 or a NaN or infinite value, raises
+    :class:`LibsvmFormatError` pointing at the offending token.
     """
     tokens = line.split()
     if not tokens:
@@ -57,6 +58,10 @@ def parse_libsvm_line(line: str, line_no: int = 0) -> Optional[SparseExample]:
         if v != 0.0:
             idx.append(i - 1)
             vals.append(v)
+    if last >= _INDEX_LIMIT:  # indices ascend, so the last is the largest
+        for pos, tok in enumerate(tokens[1:], start=2):
+            if int(tok.partition(":")[0]) >= _INDEX_LIMIT:
+                raise LibsvmFormatError(f"feature index must be < 2**63 at token {pos}: {tok!r}", line_no)
     # any NaN or infinity makes the sum non-finite; so can overflow, hence the rescan
     if not math.isfinite(sum(vals)):
         for pos, tok in enumerate(tokens[1:], start=2):

@@ -19,7 +19,7 @@ ogd   hinge-driven gradient descent with a decaying step, no selection
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -83,7 +83,7 @@ class OnlineLearner:
         return sparse_dot(self.weights, ex)
 
     def predict(self, ex: SparseExample) -> int:
-        return 1 if self.raw_margin(ex) >= 0.0 else -1
+        return 1 if sparse_dot(self.weights, ex) >= 0.0 else -1
 
     def update(self, ex: SparseExample) -> float:
         raise NotImplementedError
@@ -97,15 +97,17 @@ class OnlineLearner:
     def hyperparams(self) -> Dict[str, float]:
         return {}
 
-    def _grown_margin(self, ex: SparseExample) -> float:
-        """Margin that also grows the state vectors to cover ``ex``."""
+    def _grown_margin(self, ex: SparseExample) -> Tuple[float, np.ndarray]:
+        """Margin and the weights ``wi`` at ``ex.indices``, after growing the
+        state vectors to cover ``ex``. A step writes ``w[idx] = wi + delta``,
+        the same values as ``w[idx] += delta`` without a second gather."""
         idx = ex.indices
-        if len(idx) == 0:
-            return 0.0
-        last = int(idx[-1])
-        if last >= len(self.weights):
-            self._ensure(last + 1)
-        return float(self.weights.array[idx] @ ex.values)
+        a = self.weights.array
+        if len(idx) and idx[-1] >= len(a):
+            self._ensure(int(idx[-1]) + 1)
+            a = self.weights.array
+        wi = a[idx]
+        return float(wi.dot(ex.values)) + 0.0, wi  # + 0.0: see core.sparse_dot
 
     def _ensure(self, n: int) -> None:
         self.weights.ensure(n)
@@ -134,22 +136,23 @@ class _SecondOrder(OnlineLearner):
     def hyperparams(self) -> Dict[str, float]:
         return {"gamma": self.gamma}
 
-    def _arow_step(self, idx: np.ndarray, vals: np.ndarray, y: int, margin: float) -> np.ndarray:
+    def _arow_step(self, idx: np.ndarray, vals: np.ndarray, y: int, margin: float, wi: np.ndarray) -> np.ndarray:
         """Closed-form second-order update on the active coordinates.
 
         With ``slope`` the :func:`squared_hinge_slope` at ``margin`` and
         ``c = -slope / 2 / (sum(sigma * x^2) + gamma)``, which is ``(1 - y *
         margin) * y / (...)``, the step is ``mu += c * sigma * x`` and
         ``sigma <- sigma * gamma / (gamma + sigma * x^2)``. Caller gates on
-        positive squared hinge loss, i.e. y * margin < 1. Returns the
-        refreshed covariance values aligned with ``idx``.
+        positive squared hinge loss, i.e. y * margin < 1, and passes the
+        means ``wi`` at ``idx``. Returns the refreshed covariance values
+        aligned with ``idx``.
         """
         gamma = self.gamma
         sig = self.sigma.array
         sx = sig[idx]
         sxv = sx * vals
-        c = -0.5 * squared_hinge_slope(margin, y) / (float(sxv @ vals) + gamma)
-        self.mu.array[idx] += c * sxv
+        c = -0.5 * squared_hinge_slope(margin, y) / (float(sxv.dot(vals)) + gamma)
+        self.mu.array[idx] = wi + c * sxv
         new_sig = sx * gamma / (gamma + sxv * vals)
         sig[idx] = new_sig
         return new_sig
@@ -161,10 +164,10 @@ class ArowModel(_SecondOrder):
     algo = "arow"
 
     def update(self, ex: SparseExample) -> float:
-        margin = self._grown_margin(ex)
+        margin, wi = self._grown_margin(ex)
         y = ex.label
-        if y * margin < 1.0 and len(ex.indices):
-            self._arow_step(ex.indices, ex.values, y, margin)
+        if y * margin < 1.0 and len(wi):
+            self._arow_step(ex.indices, ex.values, y, margin, wi)
         return margin
 
 
@@ -189,10 +192,10 @@ class SofsModel(_SecondOrder):
 
     def update(self, ex: SparseExample) -> float:
         y = ex.label
-        margin = self._grown_margin(ex)
-        if y * margin >= 1.0 or len(ex.indices) == 0:
+        margin, wi = self._grown_margin(ex)
+        if y * margin >= 1.0 or len(wi) == 0:
             return margin
-        new_sig = self._arow_step(ex.indices, ex.values, y, margin)
+        new_sig = self._arow_step(ex.indices, ex.values, y, margin, wi)
         dropped = self.tracker.select(ex.indices, new_sig)
         if len(dropped):
             self.mu.array[dropped] = 0.0
@@ -233,11 +236,11 @@ class PetModel(FirstOrderModel):
         self.tracker = TopBTracker(self.budget, lambda ix: -np.abs(w.array[ix]))
 
     def update(self, ex: SparseExample) -> float:
-        margin = self._grown_margin(ex)
+        margin, wi = self._grown_margin(ex)
         y = ex.label
         if (1 if margin >= 0.0 else -1) != y:
             a = self.w.array
-            a[ex.indices] += self.eta * y * ex.values
+            a[ex.indices] = wi + self.eta * y * ex.values
             dropped = self.tracker.select(ex.indices)
             if len(dropped):
                 a[dropped] = 0.0
@@ -266,7 +269,8 @@ class FofsModel(FirstOrderModel):
         return {"eta": self.eta, "lambda": self.lam}
 
     def update(self, ex: SparseExample) -> float:
-        margin = self._grown_margin(ex)
+        # the decay below rescales every weight, so the gathered ones are stale
+        margin, _ = self._grown_margin(ex)
         y = ex.label
         if (1 if margin >= 0.0 else -1) != y:
             a = self.w.array
@@ -294,11 +298,11 @@ class OgdModel(FirstOrderModel):
 
     def update(self, ex: SparseExample) -> float:
         self.t += 1
-        margin = self._grown_margin(ex)
+        margin, wi = self._grown_margin(ex)
         y = ex.label
-        if y * margin < 1.0 and len(ex.indices):
+        if y * margin < 1.0 and len(wi):
             step = self.eta / math.sqrt(self.t)
-            self.w.array[ex.indices] += step * y * ex.values
+            self.w.array[ex.indices] = wi + step * y * ex.values
         return margin
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import SparseExample
 from .data import DatasetStream, LibsvmFormatError
-from .learners import BUDGETED, OnlineLearner, make_learner
+from .learners import BUDGETED, OnlineLearner, _check_hyperparam, make_learner
 
 CSV_HEADER = "algo,B,seed,accuracy,mistakes,sparsity_pct,train_s,total_s"
 
@@ -88,21 +88,18 @@ def train_stream(learner: OnlineLearner, stream: Iterable, *, threads: int = 1) 
     mistakes = 0
     count = 0
     t0 = None
-    it = iter(stream)
-    while True:
-        try:
-            ex = next(it)
-        except StopIteration:
-            break
-        except LibsvmFormatError as err:
-            err.example_ordinal = count
-            raise
-        if t0 is None:
-            t0 = time.perf_counter()
-        margin = learner.update(ex)
-        if (1 if margin >= 0.0 else -1) != ex.label:
-            mistakes += 1
-        count += 1
+    update = learner.update
+    try:
+        for ex in stream:
+            if t0 is None:
+                t0 = time.perf_counter()
+            margin = update(ex)
+            if (1 if margin >= 0.0 else -1) != ex.label:
+                mistakes += 1
+            count += 1
+    except LibsvmFormatError as err:
+        err.example_ordinal = count
+        raise
     elapsed = 0.0 if t0 is None else time.perf_counter() - t0
     return TrainResult(mistakes, count, elapsed)
 
@@ -111,8 +108,9 @@ def evaluate(model: OnlineLearner, stream: Iterable) -> float:
     """Accuracy of ``model`` on ``stream``; the model is not mutated."""
     correct = 0
     total = 0
+    predict = model.predict
     for ex in stream:
-        if model.predict(ex) == ex.label:
+        if predict(ex) == ex.label:
             correct += 1
         total += 1
     if total == 0:
@@ -134,6 +132,10 @@ class CvGrid:
             raise ValueError("folds must be >= 2")
         if not (self.gammas and self.etas and self.lambdas):
             raise ValueError("grid lists must be non-empty")
+        # checked whichever algorithm reads them, as make_learner does
+        for name, values in (("gamma", self.gammas), ("eta", self.etas), ("lambda", self.lambdas)):
+            for value in values:
+                _check_hyperparam(name, value)
 
     def combinations(self, algo: str) -> List[Dict[str, float]]:
         if algo in ("sofs", "arow"):
@@ -227,7 +229,9 @@ class _RowCache:
     def rows(self, order: Optional[np.ndarray] = None) -> Iterator[SparseExample]:
         """Yield the rows in stream order, or in ``order``, copied into plain arrays."""
         labels, ptr = self.labels.tolist(), self.indptr.tolist()
-        idx, val = self.indices, self.values
+        # plain ndarray views: slicing an np.memmap row by row runs its
+        # Python-level __getitem__ and __array_finalize__ on every row
+        idx, val = np.asarray(self.indices), np.asarray(self.values)
         for r in range(len(labels)) if order is None else order.tolist():
             a, b = ptr[r], ptr[r + 1]
             yield SparseExample(labels[r], np.array(idx[a:b]), np.array(val[a:b]))

@@ -1,12 +1,22 @@
-"""Shared test fixtures: random sparse streams and a reference selector."""
+"""Shared test fixtures: random sparse streams, reference selectors and
+each learner's rule restated in its plain form."""
 from __future__ import annotations
 
+import math
 from typing import List
 
 import numpy as np
 
-from ofs.core import SparseExample
-from ofs.learners import ArowModel, FirstOrderModel, truncate
+from ofs.core import SparseExample, squared_hinge_slope
+from ofs.learners import (
+    ArowModel,
+    FirstOrderModel,
+    FofsModel,
+    OgdModel,
+    PetModel,
+    SofsModel,
+    truncate,
+)
 
 
 def random_example(rng: np.random.Generator, d: int, max_nnz: int = 12) -> SparseExample:
@@ -93,9 +103,126 @@ class TruncatePet(FirstOrderModel):
         super().__init__(eta=eta, budget=int(budget))
 
     def update(self, ex: SparseExample) -> float:
-        margin = self._grown_margin(ex)
+        margin, _ = self._grown_margin(ex)
         y = ex.label
         if (1 if margin >= 0.0 else -1) != y:
             self.w.array[ex.indices] += self.eta * y * ex.values
             truncate(self.w, self.budget)
         return margin
+
+
+# Each learner's rule in its plain form: every read gathers afresh, every
+# step is ``w[idx] += delta`` and every dot product is ``@``. The learners
+# gather the touched weights once and use ``ndarray.dot``; the two forms
+# must agree bit for bit.
+
+
+def plain_dot(w, x: SparseExample) -> float:
+    """``sparse_dot`` in its plain form."""
+    idx = x.indices
+    if len(idx) == 0 or len(w) == 0:
+        return 0.0
+    a = w.array
+    if int(idx[-1]) < len(w):
+        return float(a[idx] @ x.values)
+    m = int(np.searchsorted(idx, len(w)))
+    return float(a[idx[:m]] @ x.values[:m])
+
+
+def _plain_margin(model, ex: SparseExample) -> float:
+    idx = ex.indices
+    if len(idx) == 0:
+        return 0.0
+    last = int(idx[-1])
+    if last >= len(model.weights):
+        model._ensure(last + 1)
+    return float(model.weights.array[idx] @ ex.values)
+
+
+def _plain_arow_step(model, idx: np.ndarray, vals: np.ndarray, y: int, margin: float) -> np.ndarray:
+    gamma = model.gamma
+    sig = model.sigma.array
+    sx = sig[idx]
+    sxv = sx * vals
+    c = -0.5 * squared_hinge_slope(margin, y) / (float(sxv @ vals) + gamma)
+    model.mu.array[idx] += c * sxv
+    new_sig = sx * gamma / (gamma + sxv * vals)
+    sig[idx] = new_sig
+    return new_sig
+
+
+class PlainArow(ArowModel):
+    def update(self, ex: SparseExample) -> float:
+        margin = _plain_margin(self, ex)
+        y = ex.label
+        if y * margin < 1.0 and len(ex.indices):
+            _plain_arow_step(self, ex.indices, ex.values, y, margin)
+        return margin
+
+
+class PlainSofs(SofsModel):
+    def update(self, ex: SparseExample) -> float:
+        y = ex.label
+        margin = _plain_margin(self, ex)
+        if y * margin >= 1.0 or len(ex.indices) == 0:
+            return margin
+        new_sig = _plain_arow_step(self, ex.indices, ex.values, y, margin)
+        dropped = self.tracker.select(ex.indices, new_sig)
+        if len(dropped):
+            self.mu.array[dropped] = 0.0
+        return margin
+
+
+class PlainPet(PetModel):
+    def update(self, ex: SparseExample) -> float:
+        margin = _plain_margin(self, ex)
+        y = ex.label
+        if (1 if margin >= 0.0 else -1) != y:
+            a = self.w.array
+            a[ex.indices] += self.eta * y * ex.values
+            dropped = self.tracker.select(ex.indices)
+            if len(dropped):
+                a[dropped] = 0.0
+        return margin
+
+
+class PlainFofs(FofsModel):
+    def update(self, ex: SparseExample) -> float:
+        margin = _plain_margin(self, ex)
+        y = ex.label
+        if (1 if margin >= 0.0 else -1) != y:
+            a = self.w.array
+            a *= 1.0 - self.lam * self.eta
+            a[ex.indices] += self.eta * y * ex.values
+            radius = 1.0 / math.sqrt(self.lam)
+            norm = float(np.linalg.norm(a))
+            if norm > radius:
+                a *= radius / norm
+            truncate(self.w, self.budget)
+        return margin
+
+
+class PlainOgd(OgdModel):
+    def update(self, ex: SparseExample) -> float:
+        self.t += 1
+        margin = _plain_margin(self, ex)
+        y = ex.label
+        if y * margin < 1.0 and len(ex.indices):
+            step = self.eta / math.sqrt(self.t)
+            self.w.array[ex.indices] += step * y * ex.values
+        return margin
+
+
+def plain_learner(algo: str, budget: int, gamma: float, eta: float, lam: float):
+    """The plain-form twin of ``make_learner(algo, ...)``."""
+    if algo == "sofs":
+        return PlainSofs(budget, gamma=gamma)
+    if algo == "arow":
+        return PlainArow(gamma=gamma)
+    if algo == "pet":
+        return PlainPet(budget, eta=eta)
+    if algo == "fofs":
+        return PlainFofs(budget, eta=eta, lam=lam)
+    if algo == "ogd":
+        return PlainOgd(eta=eta)
+    raise ValueError(algo)

@@ -165,6 +165,27 @@ class TestDataErrors:
         assert out == ""
         assert not model.exists()
 
+    def test_index_beyond_int64_exits_one(self, tmp_path, capsys):
+        data = tmp_path / "big.svm"
+        data.write_text("1 99999999999999999999999:1\n")
+        model = tmp_path / "m"
+        code, out, err = run(capsys, "train", "--algo", "ogd", "--data", str(data), "--model", str(model))
+        assert code == 1
+        assert err == "ofs: line 1: feature index must be < 2**63 at token 2: '99999999999999999999999:1'\n"
+        assert out == ""
+        assert not model.exists()
+
+    def test_unread_cv_grid_value_exits_one(self, tmp_path, capsys):
+        # ogd reads only the eta grid; the gamma and lambda grids are checked too
+        data = tmp_path / "d.svm"
+        data.write_text("+1 1:1\n-1 2:1\n+1 1:1\n-1 2:1\n")
+        code, out, err = run(
+            capsys, "cv", "--algo", "ogd", "--data", str(data), "--gammas", "nan", "--lambdas", "-3", "--folds", "2"
+        )
+        assert code == 1
+        assert err == "ofs: gamma must be positive and finite, got nan\n"
+        assert out == ""
+
     def test_corrupt_model_header_exits_one(self, tmp_path, capsys):
         data = tmp_path / "d.svm"
         data.write_text("+1 1:1\n")

@@ -63,6 +63,14 @@ class TestParseLine:
         with pytest.raises(LibsvmFormatError):
             parse_libsvm_line("+1 0:1.0")
 
+    def test_index_beyond_int64_rejected(self):
+        assert parse_libsvm_line(f"+1 3:1 {2**63 - 1}:2").indices.tolist() == [2, 2**63 - 2]
+        # a zero value is dropped, but its index is still checked
+        for tok in (f"{2**63}:2", f"{2**63}:0", "99999999999999999999999:1"):
+            with pytest.raises(LibsvmFormatError) as info:
+                parse_libsvm_line(f"+1 3:1 {tok}", 4)
+            assert str(info.value) == f"line 4: feature index must be < 2**63 at token 3: {tok!r}"
+
     def test_non_ascending_rejected(self):
         with pytest.raises(LibsvmFormatError):
             parse_libsvm_line("+1 5:1 3:1")
@@ -95,7 +103,7 @@ def libsvm_lines(draw):
         st.sampled_from(["0", "-0", "+1.5", "1e-320", "1E3", ".5", "5.", "1_0", "nan", "-inf", "x", ""]),
     )
     label = draw(st.sampled_from(["1", "+1", "-1", "0", "2", "+0"]))
-    idx = draw(st.lists(st.integers(-1, 2**62), max_size=10))
+    idx = draw(st.lists(st.one_of(st.integers(-1, 2**62), st.integers(2**63 - 2, 2**70)), max_size=10))
     if draw(st.integers(0, 3)):  # mostly ascending, so most lines parse
         idx = sorted(set(idx))
     sep = draw(st.sampled_from([" ", "\t", "  "]))

@@ -1,3 +1,4 @@
+import math
 import tempfile
 from pathlib import Path
 
@@ -19,9 +20,9 @@ from ofs.learners import (
     truncate,
 )
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
-from helpers import SortSelectSofs, TruncatePet, random_stream, tied_stream
+from helpers import SortSelectSofs, TruncatePet, plain_dot, plain_learner, random_stream, tied_stream
 
 
 def ex(label, *pairs):
@@ -388,6 +389,48 @@ class TestMakeLearner:
         assert make_learner("sofs", budget=2, gamma=3.0).hyperparams() == {"gamma": 3.0}
 
 
+def growing_stream(rng: np.random.Generator, n: int) -> list:
+    """Examples whose index range grows from 2 to 4,096 cells, so the state
+    vectors grow across every power of two; about one in ten is empty, and
+    half the values are +-1, so covariances and magnitudes tie."""
+    out = []
+    for r in range(n):
+        d = int(2 ** (1 + 11 * r / n))
+        m = 0 if rng.random() < 0.1 else int(rng.integers(1, min(d, 12) + 1))
+        idx = np.sort(rng.choice(d, size=m, replace=False)).astype(np.int64)
+        vals = rng.choice([-1.0, 1.0], size=m) if rng.random() < 0.5 else rng.standard_normal(m)
+        vals[vals == 0.0] = 1.0
+        out.append(SparseExample(int(rng.integers(0, 2)) * 2 - 1, idx, vals))
+    return out
+
+
+class TestPlainFormEquality:
+    """Every learner is bit-equal to its rule in the plain form of
+    ``helpers``: ``w[idx] += delta`` and ``@``, with a fresh gather for
+    every read. ``fofs`` decays the whole vector between the margin and
+    the step, so it must not reuse the weights the margin gathered."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("algo", ALGOS)
+    def test_bit_equal_after_every_update(self, algo, seed):
+        rng = np.random.default_rng([seed, ALGOS.index(algo)])
+        budget = int(rng.integers(1, 30))
+        gamma, eta, lam = float(rng.uniform(0.1, 3.0)), float(rng.uniform(0.05, 1.0)), float(rng.uniform(0.001, 0.1))
+        model = make_learner(algo, budget=budget, gamma=gamma, eta=eta, lam=lam)
+        plain = plain_learner(algo, budget, gamma, eta, lam)
+        second = hasattr(model, "sigma")
+        for x in growing_stream(rng, 600):
+            assert model.predict(x) == (1 if plain_dot(plain.weights, x) >= 0.0 else -1)
+            assert np.float64(model.raw_margin(x)).tobytes() == np.float64(plain_dot(plain.weights, x)).tobytes()
+            got, want = model.update(x), plain.update(x)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+            assert model.weights.array.tobytes() == plain.weights.array.tobytes()
+            if second:
+                assert model.sigma.array.tobytes() == plain.sigma.array.tobytes()
+            assert model.predict(x) == (1 if plain_dot(plain.weights, x) >= 0.0 else -1)
+        assert len(model.weights) > 2048
+
+
 class TestPersistence:
     ALGOS = [("sofs", 7), ("pet", 7), ("fofs", 7), ("ogd", None), ("arow", None)]
 
@@ -448,6 +491,62 @@ class TestPersistence:
                 stored |= m.sigma.array != 1.0
             assert sorted(loaded.tracker.indices()) == sorted(j for j in m.tracker.indices() if stored[j])
         assert loaded.selected_indices() == m.selected_indices()
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_any_loaded_model_predicts_finite_margins(self, data):
+        # each header field and body line is valid most of the time and a
+        # corrupt spelling otherwise; a model that loads must give a finite
+        # margin on any example. Finite weights can still overflow on huge
+        # feature values, so every drawn finite magnitude stays below 1e100
+        # and no sum of products nears the float64 range
+
+        def mostly(valid, corrupt):
+            return st.integers(0, 15).flatmap(lambda k: corrupt if k == 0 else valid)
+
+        junk = st.sampled_from(
+            ["nan", "-nan", "inf", "-inf", "Infinity", "1e999", "-1e400", "1e-320", "0", "-0", "-5", "2.5", "x", ""]
+        )
+        finite = st.floats(-1e100, 1e100).map(repr)
+        algo = data.draw(mostly(st.sampled_from(ALGOS), st.just("svm")), label="algo")
+        d = data.draw(st.integers(0, 40), label="d")
+        budget = st.integers(1, 8) if algo in BUDGETED else st.just(0)
+        b_tok = data.draw(mostly(budget.map(str), junk), label="B")
+        values = {
+            "gamma": st.floats(0.01, 10.0).map(repr),
+            "eta": st.floats(0.0, 10.0).map(repr),
+            "lambda": st.floats(0.01, 10.0).map(repr),
+            "t": st.integers(0, 10**6).map(str),
+        }
+        written = {"sofs": ["gamma"], "arow": ["gamma"], "pet": ["eta"], "ogd": ["eta", "t"], "fofs": ["eta", "lambda"]}
+        names = data.draw(mostly(st.just(written.get(algo, [])), st.lists(st.sampled_from(sorted(values)), max_size=4)))
+        params = [f"{k}={data.draw(mostly(values[k], junk), label=k)}" for k in names]
+        header = " ".join(["OFSMODEL", "v1", algo, data.draw(mostly(st.just(str(d)), junk), label="d"), b_tok] + params)
+        fields = [mostly(st.integers(0, max(d - 1, 0)).map(str), junk), mostly(finite, junk)]
+        if algo in ("sofs", "arow"):
+            fields.append(mostly(st.floats(1e-300, 1.0).map(repr), junk))
+        line = mostly(st.tuples(*fields).map(" ".join), st.lists(junk, max_size=4).map(" ".join))
+        body = data.draw(st.lists(line, max_size=12), label="body")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "model.txt"
+            path.write_text("\n".join([header] + body) + "\n", encoding="ascii")
+            try:
+                model = load_model(path)
+            except ValueError:
+                event("rejected")
+                return
+        event("loaded")
+        value = st.floats(-1e100, 1e100).map(lambda v: v or 1.0)
+        row = st.dictionaries(st.integers(0, d + 4), value, max_size=8)
+        # the first example touches every coordinate the model holds
+        examples = [SparseExample(1, np.arange(len(model.weights)), np.ones(len(model.weights)))]
+        for feats in data.draw(st.lists(row, max_size=6), label="examples"):
+            keys = sorted(feats)
+            examples.append(SparseExample(1, np.array(keys, dtype=np.int64), np.array([feats[k] for k in keys])))
+        for x in examples:
+            margin = model.raw_margin(x)
+            assert math.isfinite(margin)
+            assert model.predict(x) == (1 if margin >= 0.0 else -1)
 
     def test_loaded_sofs_continues_identically(self, tmp_path):
         rng = np.random.default_rng(24)

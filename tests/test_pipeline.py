@@ -138,6 +138,22 @@ class TestCvGrid:
         with pytest.raises(ValueError):
             CvGrid(gammas=())
 
+    @pytest.mark.parametrize(
+        "lists,message",
+        [
+            pytest.param({"gammas": (1.0, float("nan"))}, "gamma must be positive and finite, got nan", id="gamma-nan"),
+            pytest.param({"gammas": (0.0,)}, "gamma must be positive and finite, got 0.0", id="gamma-0"),
+            pytest.param({"etas": (0.2, -0.1)}, "eta must be non-negative and finite, got -0.1", id="eta-negative"),
+            pytest.param({"etas": (float("inf"),)}, "eta must be non-negative and finite, got inf", id="eta-inf"),
+            pytest.param({"lambdas": (-3.0,)}, "lambda must be positive and finite, got -3.0", id="lambda-negative"),
+        ],
+    )
+    def test_every_grid_value_checked(self, lists, message):
+        # each list is checked whichever algorithm later reads it
+        with pytest.raises(ValueError) as info:
+            CvGrid(**lists)
+        assert str(info.value) == message
+
     def test_combinations_per_algo(self):
         grid = CvGrid(gammas=(1.0, 2.0), etas=(0.1,), lambdas=(0.01, 0.1))
         assert grid.combinations("sofs") == [{"gamma": 1.0}, {"gamma": 2.0}]
