@@ -185,7 +185,7 @@ class SyntheticGenerator:
         self.informative = np.sort(root.choice(spec.dim, size=spec.idim, replace=False)).astype(np.int64)
         self.w_star = root.uniform(0.0, 1.0, size=spec.idim)
         # complement remap table: entry i says how many informative indices
-        # sit at or below the i-th gap, see _noise_indices
+        # sit at or below the i-th gap, see _stream
         self._gaps = self.informative - np.arange(spec.idim, dtype=np.int64)
 
     def train_stream(self) -> DatasetStream:
@@ -195,49 +195,87 @@ class SyntheticGenerator:
         return DatasetStream(lambda: self._stream(2, self.spec.n_test), dim=self.spec.dim)
 
     def _stream(self, key: int, n: int) -> Iterator[SparseExample]:
+        """Build each chunk of rows in one (c, idim + ndim) index/value pair.
+
+        Rows are read-only views into their chunk's pair, indices sorted.
+        The complement rank v maps to index v + shift(v), where shift(v)
+        counts the informative indices below it; the map is strictly
+        increasing, so the sorted ranks of a row give its sorted noise
+        indices, and noise element t lands at position t + shift. The
+        informative coordinates fill the remaining slots in order.
+        """
         spec = self.spec
         rng = np.random.default_rng([spec.seed, key])
-        S = self.informative
         idim, ndim = spec.idim, spec.ndim
+        width = idim + ndim
+        slots = np.arange(ndim, dtype=np.int64)
         done = 0
+        # each temporary is updated in place and freed at its last use, so a
+        # chunk adds little to peak memory beyond the rows it yields
         while done < n:
             c = min(_CHUNK, n - done)
             inf_vals = rng.standard_normal((c, idim))
-            noise_idx = self._noise_indices(rng, c)
-            noise_vals = rng.standard_normal((c, ndim))
-            margins = inf_vals @ self.w_star
-            labels = np.where(margins >= 0.0, 1, -1)
-            for r in range(c):
-                idx = np.concatenate([S, noise_idx[r]])
-                vals = np.concatenate([inf_vals[r], noise_vals[r]])
-                order = np.argsort(idx, kind="stable")
-                yield SparseExample(int(labels[r]), idx[order], vals[order])
+            ranks, order = self._noise_ranks(rng, c)
+            noise_vals = rng.standard_normal((c, ndim)).ravel()[order]
+            del order
+            labels = np.where(inf_vals @ self.w_star >= 0.0, 1, -1).tolist()
+            pos = np.searchsorted(self._gaps, ranks, side="right")
+            ranks += pos  # now the noise indices
+            pos += slots
+            pos += np.arange(0, c * width, width, dtype=np.int64)[:, None]  # flat, in the chunk
+            idx = np.empty((c, width), dtype=np.int64)
+            vals = np.empty((c, width), dtype=np.float64)
+            idx.ravel()[pos] = ranks
+            vals.ravel()[pos] = noise_vals
+            del ranks, noise_vals
+            free = np.ones(c * width, dtype=bool)
+            free[pos] = False
+            del pos
+            inf_pos = np.flatnonzero(free).reshape(c, idim)
+            del free
+            idx.ravel()[inf_pos] = self.informative
+            vals.ravel()[inf_pos] = inf_vals
+            del inf_pos, inf_vals
+            # rows share the chunk's buffers, so a write to one would reach its neighbours
+            idx.flags.writeable = False
+            vals.flags.writeable = False
+            for label, row_idx, row_vals in zip(labels, idx, vals):
+                yield SparseExample(label, row_idx, row_vals)
             done += c
 
-    def _noise_indices(self, rng: np.random.Generator, c: int) -> np.ndarray:
-        """Per-row noise coordinates: unique, uniform outside the informative set."""
+    def _noise_ranks(self, rng: np.random.Generator, c: int):
+        """Per-row noise coordinates as complement ranks, unique and uniform.
+
+        Returns the (c, ndim) ranks sorted within each row, and the flat
+        positions in a (c, ndim) matrix that sort each row the same way.
+        """
         spec = self.spec
         ndim = spec.ndim
         if ndim == 0:
-            return np.empty((c, 0), dtype=np.int64)
+            empty = np.empty((c, 0), dtype=np.int64)
+            return empty, empty
         m = spec.dim - spec.idim  # size of the complement
-        if m >= ndim * (ndim - 1):
-            # collisions are rare when the complement dwarfs the draw count;
-            # rows conditioned on being duplicate-free are uniform subsets
-            rows = rng.integers(0, m, size=(c, ndim))
-            if ndim > 1:
-                srt = np.sort(rows, axis=1)
-                for r in np.flatnonzero((np.diff(srt, axis=1) == 0).any(axis=1)):
-                    while True:
-                        row = rng.integers(0, m, size=ndim)
-                        if len(np.unique(row)) == ndim:
-                            rows[r] = row
-                            break
+        # collisions are rare when the complement dwarfs the draw count;
+        # rows conditioned on being duplicate-free are uniform subsets
+        rejection = m >= ndim * (ndim - 1)
+        if rejection:
+            ranks = rng.integers(0, m, size=(c, ndim))
         else:
-            rows = np.stack([rng.permutation(m)[:ndim] for _ in range(c)])
-        # map complement rank v to the v-th non-informative index
-        shift = np.searchsorted(self._gaps, rows.ravel(), side="right")
-        return (rows + shift.reshape(rows.shape)).astype(np.int64)
+            ranks = np.stack([rng.permutation(m)[:ndim] for _ in range(c)])
+        order = np.argsort(ranks, axis=1)
+        order += np.arange(0, c * ndim, ndim, dtype=np.int64)[:, None]
+        ranks = ranks.ravel()[order]
+        if rejection:
+            for r in np.flatnonzero((ranks[:, 1:] == ranks[:, :-1]).any(axis=1)).tolist():
+                while True:
+                    row = rng.integers(0, m, size=ndim)
+                    row_order = np.argsort(row)
+                    row = row[row_order]
+                    if (row[1:] != row[:-1]).all():
+                        break
+                order[r] = row_order + r * ndim
+                ranks[r] = row
+        return ranks, order
 
 
 def generate_synthetic(spec: SyntheticSpec):

@@ -342,22 +342,29 @@ def save_model(model: OnlineLearner, path) -> None:
     Header: ``OFSMODEL v1 <algo> <d> <B> key=value ...`` with B = 0 for
     learners without a budget. Second-order models store ``idx mu sigma``
     for every touched coordinate, first-order models ``idx w`` for every
-    nonzero one. Floats are written with repr so a reload reproduces
-    predictions bit for bit.
+    nonzero one; ``sofs`` and ``pet`` also store every kept feature, even
+    one whose state equals an untouched one. Floats are written with repr
+    so a reload reproduces predictions bit for bit.
     """
     params = " ".join(f"{k}={v!r}" for k, v in model.hyperparams().items())
     budget = model.budget or 0
     d = len(model.weights)
     lines = [f"{MODEL_MAGIC} {MODEL_VERSION} {model.algo} {d} {budget} {params}".rstrip()]
+    w = model.weights.array
     if isinstance(model, _SecondOrder):
-        mu = model.mu.array
         sig = model.sigma.array
-        for j in np.flatnonzero((mu != 0.0) | (sig != 1.0)).tolist():
-            lines.append(f"{j} {float(mu[j])!r} {float(sig[j])!r}")
+        stored = (w != 0.0) | (sig != 1.0)
     else:
-        w = model.weights.array
-        for j in np.flatnonzero(w).tolist():
+        sig = None
+        stored = w != 0.0
+    if isinstance(model, (SofsModel, PetModel)):
+        # a kept feature can hold the state of an untouched one
+        stored[model.tracker.indices()] = True
+    for j in np.flatnonzero(stored).tolist():
+        if sig is None:
             lines.append(f"{j} {float(w[j])!r}")
+        else:
+            lines.append(f"{j} {float(w[j])!r} {float(sig[j])!r}")
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -423,7 +430,9 @@ def load_model(path) -> OnlineLearner:
     hyperparameters pass the learner's own checks. A body line with the
     wrong number of fields, an index outside [0, d), a non-finite weight
     or mean, or a covariance outside (0, 1] is rejected too. Each failure
-    raises ``ValueError`` naming the file and the line.
+    raises ``ValueError`` naming the file and the line. A ``sofs`` or
+    ``pet`` kept set is rebuilt by the learner's own rule over the
+    features the file lists.
     """
     with open(path, "r", encoding="ascii") as fh:
         model = _load_header(path, fh.readline().split())
@@ -467,8 +476,6 @@ def load_model(path) -> OnlineLearner:
     if second:
         model.sigma.array[idx] = s_arr
     if isinstance(model, (SofsModel, PetModel)):
-        # rebuild the kept set by the learner's own rule over the stored features
-        w = model.weights.array
-        stored = (w != 0.0) | (model.sigma.array != 1.0) if second else w != 0.0
-        w[model.tracker.select(np.flatnonzero(stored))] = 0.0
+        # rebuild the kept set by the learner's own rule over the listed features
+        model.weights.array[model.tracker.select(np.unique(np.asarray(idx, dtype=np.int64)))] = 0.0
     return model

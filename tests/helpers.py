@@ -1,13 +1,14 @@
-"""Shared test fixtures: random sparse streams, reference selectors and
-each learner's rule restated in its plain form."""
+"""Shared test fixtures: random sparse streams, reference selectors, and
+each learner's rule and the synthetic generator restated in plain form."""
 from __future__ import annotations
 
 import math
-from typing import List
+from typing import Iterator, List
 
 import numpy as np
 
 from ofs.core import SparseExample, squared_hinge_slope
+from ofs.data import _CHUNK, SyntheticGenerator
 from ofs.learners import (
     ArowModel,
     FirstOrderModel,
@@ -211,6 +212,57 @@ class PlainOgd(OgdModel):
             step = self.eta / math.sqrt(self.t)
             self.w.array[ex.indices] += step * y * ex.values
         return margin
+
+
+class PlainSyntheticGenerator(SyntheticGenerator):
+    """The synthetic generator in its plain form: draws a chunk like the
+    generator does, then concatenates and stable-sorts every row on its
+    own. The chunked generator must yield the same bytes."""
+
+    def _stream(self, key: int, n: int) -> Iterator[SparseExample]:
+        spec = self.spec
+        rng = np.random.default_rng([spec.seed, key])
+        S = self.informative
+        idim, ndim = spec.idim, spec.ndim
+        done = 0
+        while done < n:
+            c = min(_CHUNK, n - done)
+            inf_vals = rng.standard_normal((c, idim))
+            noise_idx = self._noise_indices(rng, c)
+            noise_vals = rng.standard_normal((c, ndim))
+            margins = inf_vals @ self.w_star
+            labels = np.where(margins >= 0.0, 1, -1)
+            for r in range(c):
+                idx = np.concatenate([S, noise_idx[r]])
+                vals = np.concatenate([inf_vals[r], noise_vals[r]])
+                order = np.argsort(idx, kind="stable")
+                yield SparseExample(int(labels[r]), idx[order], vals[order])
+            done += c
+
+    def _noise_indices(self, rng: np.random.Generator, c: int) -> np.ndarray:
+        """Per-row noise coordinates: unique, uniform outside the informative set."""
+        spec = self.spec
+        ndim = spec.ndim
+        if ndim == 0:
+            return np.empty((c, 0), dtype=np.int64)
+        m = spec.dim - spec.idim  # size of the complement
+        if m >= ndim * (ndim - 1):
+            # collisions are rare when the complement dwarfs the draw count;
+            # rows conditioned on being duplicate-free are uniform subsets
+            rows = rng.integers(0, m, size=(c, ndim))
+            if ndim > 1:
+                srt = np.sort(rows, axis=1)
+                for r in np.flatnonzero((np.diff(srt, axis=1) == 0).any(axis=1)):
+                    while True:
+                        row = rng.integers(0, m, size=ndim)
+                        if len(np.unique(row)) == ndim:
+                            rows[r] = row
+                            break
+        else:
+            rows = np.stack([rng.permutation(m)[:ndim] for _ in range(c)])
+        # map complement rank v to the v-th non-informative index
+        shift = np.searchsorted(self._gaps, rows.ravel(), side="right")
+        return (rows + shift.reshape(rows.shape)).astype(np.int64)
 
 
 def plain_learner(algo: str, budget: int, gamma: float, eta: float, lam: float):

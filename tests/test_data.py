@@ -1,21 +1,27 @@
 import gzip
+import hashlib
+import itertools
+import math
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from ofs.core import SparseExample
 from ofs.data import (
     DatasetStream,
     LibsvmFormatError,
+    SyntheticGenerator,
     SyntheticSpec,
     generate_synthetic,
     parse_libsvm_line,
     read_libsvm,
     write_libsvm,
 )
+
+from helpers import PlainSyntheticGenerator
 
 
 class TestParseLine:
@@ -254,8 +260,6 @@ class TestGenerateSynthetic:
 
     def test_labels_from_informative_subspace(self):
         # recompute the label from the generator's own ground truth
-        from ofs.data import SyntheticGenerator
-
         gen = SyntheticGenerator(self.SPEC)
         S = gen.informative
         lookup = {int(j): k for k, j in enumerate(S)}
@@ -287,3 +291,109 @@ class TestGenerateSynthetic:
         train, _, informative = generate_synthetic(spec)
         for ex in train:
             assert set(ex.indices.tolist()) == informative
+
+
+@st.composite
+def synthetic_specs(draw):
+    dim = draw(st.integers(1, 5_000), label="dim")
+    idim = draw(st.integers(1, dim), label="idim")
+    m = dim - idim
+    # a draw well below sqrt(m) takes the rejection path, often with
+    # redraws near it; a larger one takes the permutation path
+    ndim = draw(st.one_of(st.integers(0, min(m, math.isqrt(m) + 1)), st.integers(0, m)), label="ndim")
+    return SyntheticSpec(
+        n_train=draw(st.integers(1, 700), label="n_train"),
+        n_test=draw(st.integers(1, 700), label="n_test"),
+        dim=dim,
+        idim=idim,
+        ndim=ndim,
+        seed=draw(st.integers(0, 2**32 - 1), label="seed"),
+    )
+
+
+def _stream_digests(spec: SyntheticSpec, rows: int = 300) -> dict:
+    """sha256 of the labels, indices and values of the first rows of each stream."""
+    h = {k: hashlib.sha256() for k in ("labels", "indices", "values")}
+    for stream in generate_synthetic(spec)[:2]:
+        for ex in itertools.islice(stream, rows):
+            h["labels"].update(np.int64(ex.label).tobytes())
+            h["indices"].update(ex.indices.tobytes())
+            h["values"].update(ex.values.tobytes())
+    return {k: v.hexdigest() for k, v in h.items()}
+
+
+class TestGeneratorStreams:
+    @settings(max_examples=80, deadline=None)
+    @given(spec=synthetic_specs())
+    # the rejection path with many redraws (about 44% of rows collide)
+    @example(spec=SyntheticSpec(n_train=600, n_test=300, dim=400, idim=10, ndim=19, seed=3))
+    @example(spec=SyntheticSpec(n_train=257, n_test=5, dim=40, idim=4, ndim=30, seed=8))
+    @example(spec=SyntheticSpec(n_train=300, n_test=1, dim=50, idim=5, ndim=0, seed=9))
+    @example(spec=SyntheticSpec(n_train=3, n_test=300, dim=60, idim=60, ndim=0, seed=1))
+    def test_equals_plain_form(self, spec):
+        # every row, in both streams, matches the per-row concatenate and
+        # stable sort byte for byte
+        m = spec.dim - spec.idim
+        event("no noise" if spec.ndim == 0 else "rejection" if m >= spec.ndim * (spec.ndim - 1) else "permutation")
+        gen = SyntheticGenerator(spec)
+        plain = PlainSyntheticGenerator(spec)
+        for got, want in ((gen.train_stream(), plain.train_stream()), (gen.test_stream(), plain.test_stream())):
+            n = 0
+            for a, b in itertools.zip_longest(got, want):
+                assert a is not None and b is not None, f"stream lengths differ at row {n}"
+                assert a.label == b.label
+                for x, y in ((a.indices, b.indices), (a.values, b.values)):
+                    assert x.dtype == y.dtype
+                    assert x.flags.c_contiguous and y.flags.c_contiguous
+                    assert x.tobytes() == y.tobytes()
+                n += 1
+
+    # digests of the first 300 rows of each stream, taken from the per-row
+    # generator; a change to any stream fails here even if the plain-form
+    # twin changes with it
+    PINNED = {
+        "small-m": (
+            SyntheticSpec(n_train=10_000, n_test=2_000, dim=3_000, idim=10, ndim=2, seed=1),
+            "b69914399713414467097f526ff7a678c69f8f47fcdaf3d0890fb78077a43427",
+            "3f21fc32dd3cd7098e0216c515bf05b43cab8ed12ad64d1b01a2591320190b00",
+            "3a0efd5b0a3e42a8f46a3ce33e17c155c79b5214b6d723dd067a76229ca27ca2",
+        ),
+        "ultra-hd": (
+            SyntheticSpec(n_train=600, n_test=2_000, dim=1_000_000, idim=500, ndim=500, seed=1),
+            "0d815b02842ad7d2b0edecd98d4878eec65b6c7ee0351d761cd176a709585454",
+            "30bbebf90f74cf14e008dbc679b7d37f3b08cfd0ca38d13429c94fe162e6aa6a",
+            "32d003d236ad22a7b88fe4235414964f90190877754ecfea72778ca5065efb88",
+        ),
+        "file-cli": (
+            SyntheticSpec(n_train=400, n_test=300, dim=10_000, idim=20, ndim=80, seed=1),
+            "9c9ce069ba9cef37834cdca351ee8db7ff8436878dc61612fd3928d35fa04e4c",
+            "8a088ae4d48104f5ce20fe1a5650a9740b75c2ed3fbd04d277b2936b8eddfa38",
+            "7975b2b799deb372db491a8eef54adee14786bd04399c4bf24b38e547839d6c0",
+        ),
+        "acceptance-06": (
+            SyntheticSpec(n_train=10_000, n_test=1_000, dim=2_000, idim=100, ndim=200, seed=0),
+            "4c4c65e7301f7df1a75df61a7ac844a8073454c616776f956b7f1d79187ff145",
+            "226a2feb78660e57806cd33c91936897fd4d262b2e52936f1093f5dec47a4c71",
+            "b45fa36d1b63d5f4db088d54df0ba7329830f4ac218bd60f55fd872480a4200c",
+        ),
+        "acceptance-07": (
+            SyntheticSpec(n_train=100_000, n_test=10_000, dim=1_000_000, idim=500, ndim=500, seed=7),
+            "a792213557a96b655b019ada7b5dc42c5bc0eddb49951c6bee7c90eb7dddacbd",
+            "d41129fa43323e87a9a7be788f6ab6dd85418adc3254aba932774a282b1c1aba",
+            "f4629fc43dc597ec05c6e812ef98d0a13a74879060a6dc2fb9ff28791ca9fefd",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_streams_pinned(self, name):
+        spec, labels, indices, values = self.PINNED[name]
+        assert _stream_digests(spec) == {"labels": labels, "indices": indices, "values": values}
+
+    def test_rows_are_read_only(self):
+        # rows are views into one buffer per chunk; a write must not reach a neighbour
+        train, test, _ = generate_synthetic(SyntheticSpec(n_train=5, n_test=300, dim=100, idim=5, ndim=10, seed=2))
+        for ex in (next(iter(train)), list(test)[-1]):
+            with pytest.raises(ValueError):
+                ex.values[0] = 1.0
+            with pytest.raises(ValueError):
+                ex.indices[0] = 0
