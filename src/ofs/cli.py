@@ -168,24 +168,32 @@ def _cmd_predict(args) -> int:
 
 
 def _read_truth(path) -> frozenset:
+    """The 0-based indices a truth file lists 1-based, one per line, like
+    the data files; blank lines and ``#`` comments are skipped."""
     truth = set()
     with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            truth.add(int(line) - 1)  # file is 1-based like the data files
+            try:
+                j = int(line)
+                if j < 1:
+                    raise ValueError
+            except ValueError:
+                raise ValueError(f"{path}: line {line_no}: expected an index >= 1, got {line!r}") from None
+            truth.add(j - 1)
     if not truth:
         raise ValueError(f"{path}: no indices found")
     return frozenset(truth)
 
 
 def _cmd_eval(args) -> int:
+    truth = _read_truth(args.recovery) if args.recovery else None
     model = learners.load_model(args.model)
     accuracy = pipeline.evaluate(model, dat.read_libsvm(args.data))
     print(f"accuracy {accuracy:.6f}")
-    if args.recovery:
-        truth = _read_truth(args.recovery)
+    if truth is not None:
         selected = model.selected_indices()
         hits = len(selected & truth)
         print(f"recovery {hits / len(truth):.6f} ({hits}/{len(truth)})")

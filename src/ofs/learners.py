@@ -19,6 +19,7 @@ ogd   hinge-driven gradient descent with a decaying step, no selection
 from __future__ import annotations
 
 import math
+import warnings
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -421,28 +422,48 @@ def _load_header(path, header: List[str]) -> OnlineLearner:
     return model
 
 
-def load_model(path) -> OnlineLearner:
-    """Rebuild a learner saved by :func:`save_model`.
+def _read_body(fh, d: int, second: bool):
+    """The rest of ``fh`` as model body rows, in one ``np.loadtxt`` pass.
 
-    Every header field is checked: d and B are integers >= 0 with B >= 1
-    exactly for budgeted algorithms, the keys are exactly those the
-    learner's ``hyperparams`` writes, ``t`` is an integer >= 0, and the
-    hyperparameters pass the learner's own checks. A body line with the
-    wrong number of fields, an index outside [0, d), a non-finite weight
-    or mean, or a covariance outside (0, 1] is rejected too. Each failure
-    raises ``ValueError`` naming the file and the line. A ``sofs`` or
-    ``pet`` kept set is rebuilt by the learner's own rule over the
-    features the file lists.
+    Returns the indices, their sorted unique values, the weights and the
+    covariances (None for first-order models), or None if numpy cannot
+    read the body or a row fails the checks of :func:`_scan_body`, which
+    then reports the first bad line. numpy converts floats with the same
+    routine as ``float`` and accepts a subset of the spellings ``int`` and
+    ``float`` accept, so a body it reads holds the values the scan would.
     """
+    dtype = np.dtype([("j", np.int64), ("w", np.float64), ("s", np.float64)][: 3 if second else 2])
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # loadtxt warns on a body with no rows
+            rows = np.loadtxt(fh, dtype=dtype, comments=None, ndmin=1)
+    except (ValueError, Warning):
+        return None
+    j, w = rows["j"], rows["w"]
+    s = rows["s"] if second else None
+    ok = ((j >= 0) & (j < d) & np.isfinite(w)).all()
+    if second:
+        ok &= ((s > 0.0) & (s <= 1.0)).all()
+    keys = np.sort(j)  # np.unique hashes on numpy 2.x and costs over ten times as much
+    if not ok or (keys[1:] == keys[:-1]).any():
+        return None
+    return j, keys, w, s
+
+
+def _scan_body(path, d: int, second: bool):
+    """The body of the model file at ``path`` read line by line, as
+    :func:`_read_body` returns it; raises ``ValueError`` naming the first
+    bad line. Slower than the bulk read, so it only runs when that fails.
+    It opens the file afresh, so even a decoding error reads as it would
+    without the bulk pass."""
+    width = 3 if second else 2
+    line_nos: List[int] = []
+    idx: List[int] = []
+    weights: List[float] = []
+    sigmas: List[float] = []
+    seen = set()
     with open(path, "r", encoding="ascii") as fh:
-        model = _load_header(path, fh.readline().split())
-        d = len(model.weights)
-        second = isinstance(model, _SecondOrder)
-        width = 3 if second else 2
-        line_nos: List[int] = []
-        idx: List[int] = []
-        weights: List[float] = []
-        sigmas: List[float] = []
+        fh.readline()
         for line_no, line in enumerate(fh, start=2):
             parts = line.split()
             if not parts:
@@ -458,6 +479,9 @@ def load_model(path) -> OnlineLearner:
                 raise ValueError(f"{path}: line {line_no}: expected {width} numbers, got {line.strip()!r}") from None
             if not 0 <= j < d:
                 raise ValueError(f"{path}: line {line_no}: index {j} outside [0, {d})")
+            if j in seen:
+                raise ValueError(f"{path}: line {line_no}: index {j} listed twice")
+            seen.add(j)
             line_nos.append(line_no)
             idx.append(j)
     w_arr = np.asarray(weights, dtype=np.float64)
@@ -472,10 +496,35 @@ def load_model(path) -> OnlineLearner:
         else:
             what = f"non-finite weight {float(w_arr[k])!r}"
         raise ValueError(f"{path}: line {line_nos[k]}: {what}")
-    model.weights.array[idx] = w_arr
+    j_arr = np.asarray(idx, dtype=np.int64)
+    return j_arr, np.sort(j_arr), w_arr, s_arr if second else None
+
+
+def load_model(path) -> OnlineLearner:
+    """Rebuild a learner saved by :func:`save_model`.
+
+    Every header field is checked: d and B are integers >= 0 with B >= 1
+    exactly for budgeted algorithms, the keys are exactly those the
+    learner's ``hyperparams`` writes, ``t`` is an integer >= 0, and the
+    hyperparameters pass the learner's own checks. A body line with the
+    wrong number of fields, an index outside [0, d) or listed twice, a
+    non-finite weight or mean, or a covariance outside (0, 1] is rejected
+    too. Each failure raises ``ValueError`` naming the file and the line.
+    A ``sofs`` or ``pet`` kept set is rebuilt by the learner's own rule
+    over the features the file lists.
+    """
+    with open(path, "r", encoding="ascii") as fh:
+        model = _load_header(path, fh.readline().split())
+        d = len(model.weights)
+        second = isinstance(model, _SecondOrder)
+        body = _read_body(fh, d, second)
+    if body is None:
+        body = _scan_body(path, d, second)
+    j, keys, w, s = body
+    model.weights.array[j] = w
     if second:
-        model.sigma.array[idx] = s_arr
+        model.sigma.array[j] = s
     if isinstance(model, (SofsModel, PetModel)):
         # rebuild the kept set by the learner's own rule over the listed features
-        model.weights.array[model.tracker.select(np.unique(np.asarray(idx, dtype=np.int64)))] = 0.0
+        model.weights.array[model.tracker.select(keys)] = 0.0
     return model

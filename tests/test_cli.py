@@ -206,6 +206,36 @@ class TestDataErrors:
         assert err == f"ofs: {model}: line 2: index -1 outside [0, 4)\n"
 
 
+    def test_model_index_listed_twice_exits_one(self, tmp_path, capsys):
+        data = tmp_path / "d.svm"
+        data.write_text("+1 1:1\n")
+        model = tmp_path / "m"
+        model.write_text("OFSMODEL v1 sofs 4 2 gamma=1.0\n1 0.5 0.5\n1 -0.5 0.25\n")
+        code, out, err = run(capsys, "eval", "--model", str(model), "--data", str(data))
+        assert code == 1
+        assert err == f"ofs: {model}: line 3: index 1 listed twice\n"
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            pytest.param("0\n3\n", "line 1: expected an index >= 1, got '0'", id="zero"),
+            pytest.param("# truth\n3\nx\n", "line 3: expected an index >= 1, got 'x'", id="x"),
+            pytest.param("2\n-4\n", "line 2: expected an index >= 1, got '-4'", id="negative"),
+        ],
+    )
+    def test_bad_truth_file_exits_one_before_eval(self, tmp_path, capsys, text, message):
+        data = tmp_path / "d.svm"
+        data.write_text("+1 1:1\n")
+        model = tmp_path / "m"
+        model.write_text("OFSMODEL v1 ogd 4 0 eta=0.2 t=1\n1 0.5\n")
+        truth = tmp_path / "truth.txt"
+        truth.write_text(text)
+        code, out, err = run(capsys, "eval", "--model", str(model), "--data", str(data), "--recovery", str(truth))
+        assert code == 1
+        assert err == f"ofs: {truth}: {message}\n"
+        assert out == ""
+
 class TestGenerate:
     def test_writes_three_files(self, dataset):
         assert (dataset / "train.svm").exists()

@@ -1,10 +1,13 @@
 import math
 import tempfile
+import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from ofs import learners
 from ofs.core import DenseVector, SparseExample, sparse_dot
 from ofs.learners import (
     ALGOS,
@@ -33,6 +36,41 @@ def kept_sigmas(m):
     """A sofs learner's kept set as (index, covariance) pairs."""
     keys = m.tracker.indices()
     return list(zip(keys, m.sigma.array[keys].tolist()))
+
+
+# corrupt or borderline spellings, drawn in place of a valid field
+JUNK = ["nan", "-nan", "inf", "-inf", "Infinity", "1e999", "-1e400", "1e-320", "0", "-0", "-5", "2.5", "x", ""]
+
+
+def draw_model_file(data, junk):
+    """A model file's text and its header's d. Each header field and body
+    line is valid most of the time and drawn from ``junk`` otherwise."""
+
+    def mostly(valid, corrupt):
+        return st.integers(0, 15).flatmap(lambda k: corrupt if k == 0 else valid)
+
+    junk = st.sampled_from(junk)
+    finite = st.floats(-1e100, 1e100).map(repr)
+    algo = data.draw(mostly(st.sampled_from(ALGOS), st.just("svm")), label="algo")
+    d = data.draw(st.integers(0, 40), label="d")
+    budget = st.integers(1, 8) if algo in BUDGETED else st.just(0)
+    b_tok = data.draw(mostly(budget.map(str), junk), label="B")
+    values = {
+        "gamma": st.floats(0.01, 10.0).map(repr),
+        "eta": st.floats(0.0, 10.0).map(repr),
+        "lambda": st.floats(0.01, 10.0).map(repr),
+        "t": st.integers(0, 10**6).map(str),
+    }
+    written = {"sofs": ["gamma"], "arow": ["gamma"], "pet": ["eta"], "ogd": ["eta", "t"], "fofs": ["eta", "lambda"]}
+    names = data.draw(mostly(st.just(written.get(algo, [])), st.lists(st.sampled_from(sorted(values)), max_size=4)))
+    params = [f"{k}={data.draw(mostly(values[k], junk), label=k)}" for k in names]
+    header = " ".join(["OFSMODEL", "v1", algo, data.draw(mostly(st.just(str(d)), junk), label="d"), b_tok] + params)
+    fields = [mostly(st.integers(0, max(d - 1, 0)).map(str), junk), mostly(finite, junk)]
+    if algo in ("sofs", "arow"):
+        fields.append(mostly(st.floats(1e-300, 1.0).map(repr), junk))
+    line = mostly(st.tuples(*fields).map(" ".join), st.lists(junk, max_size=4).map(" ".join))
+    body = data.draw(st.lists(line, max_size=12), label="body")
+    return "\n".join([header] + body) + "\n", d
 
 
 class TestTruncate:
@@ -550,41 +588,14 @@ class TestPersistence:
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_any_loaded_model_predicts_finite_margins(self, data):
-        # each header field and body line is valid most of the time and a
-        # corrupt spelling otherwise; a model that loads must give a finite
-        # margin on any example. Finite weights can still overflow on huge
-        # feature values, so every drawn finite magnitude stays below 1e100
-        # and no sum of products nears the float64 range
-
-        def mostly(valid, corrupt):
-            return st.integers(0, 15).flatmap(lambda k: corrupt if k == 0 else valid)
-
-        junk = st.sampled_from(
-            ["nan", "-nan", "inf", "-inf", "Infinity", "1e999", "-1e400", "1e-320", "0", "-0", "-5", "2.5", "x", ""]
-        )
-        finite = st.floats(-1e100, 1e100).map(repr)
-        algo = data.draw(mostly(st.sampled_from(ALGOS), st.just("svm")), label="algo")
-        d = data.draw(st.integers(0, 40), label="d")
-        budget = st.integers(1, 8) if algo in BUDGETED else st.just(0)
-        b_tok = data.draw(mostly(budget.map(str), junk), label="B")
-        values = {
-            "gamma": st.floats(0.01, 10.0).map(repr),
-            "eta": st.floats(0.0, 10.0).map(repr),
-            "lambda": st.floats(0.01, 10.0).map(repr),
-            "t": st.integers(0, 10**6).map(str),
-        }
-        written = {"sofs": ["gamma"], "arow": ["gamma"], "pet": ["eta"], "ogd": ["eta", "t"], "fofs": ["eta", "lambda"]}
-        names = data.draw(mostly(st.just(written.get(algo, [])), st.lists(st.sampled_from(sorted(values)), max_size=4)))
-        params = [f"{k}={data.draw(mostly(values[k], junk), label=k)}" for k in names]
-        header = " ".join(["OFSMODEL", "v1", algo, data.draw(mostly(st.just(str(d)), junk), label="d"), b_tok] + params)
-        fields = [mostly(st.integers(0, max(d - 1, 0)).map(str), junk), mostly(finite, junk)]
-        if algo in ("sofs", "arow"):
-            fields.append(mostly(st.floats(1e-300, 1.0).map(repr), junk))
-        line = mostly(st.tuples(*fields).map(" ".join), st.lists(junk, max_size=4).map(" ".join))
-        body = data.draw(st.lists(line, max_size=12), label="body")
+        # a model that loads must give a finite margin on any example.
+        # Finite weights can still overflow on huge feature values, so every
+        # drawn finite magnitude stays below 1e100 and no sum of products
+        # nears the float64 range
+        text, d = draw_model_file(data, JUNK)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "model.txt"
-            path.write_text("\n".join([header] + body) + "\n", encoding="ascii")
+            path.write_text(text, encoding="ascii")
             try:
                 model = load_model(path)
             except ValueError:
@@ -602,6 +613,101 @@ class TestPersistence:
             margin = model.raw_margin(x)
             assert math.isfinite(margin)
             assert model.predict(x) == (1 if margin >= 0.0 else -1)
+
+    @staticmethod
+    def load_both(path):
+        """What load_model and the line scan alone each make of ``path``: the
+        weight, covariance and kept-set bytes, or the error string."""
+
+        def outcome():
+            try:
+                m = load_model(path)
+            except ValueError as err:
+                return str(err)
+            sigma = m.sigma.array.tobytes() if isinstance(m, (SofsModel, ArowModel)) else None
+            kept = np.array(sorted(m.tracker.indices()), dtype=np.int64).tobytes() if m.algo in ("sofs", "pet") else None
+            return m.weights.array.tobytes(), sigma, kept
+
+        bulk = outcome()
+        with mock.patch.object(learners, "_read_body", return_value=None):
+            return bulk, outcome()
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_bulk_read_agrees_with_line_scan(self, data):
+        # the junk adds spellings int() or float() accept and numpy's reader
+        # does not, field and line separators, and a byte outside ASCII
+        junk = JUNK + ["+5", "0_5", "1_0", "1.5", "1e3", "0x1p3", "+nan", "1\t2", "\t", "\x0b", "\x1c", "\r", "\xe9"]
+        text, _ = draw_model_file(data, junk)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "model.txt"
+            path.write_bytes(text.encode("latin-1"))
+            bulk, scanned = self.load_both(path)
+        event("rejected" if isinstance(bulk, str) else "loaded")
+        assert bulk == scanned
+
+    @pytest.mark.parametrize(
+        "header,first,line",
+        [("OFSMODEL v1 sofs 9 2 gamma=1.0", "1 2.0 0.5", "3 -0.5 0.25"), ("OFSMODEL v1 ogd 9 0 eta=0.2 t=1", "1 2.0", "3 -0.5")],
+        ids=["sofs", "ogd"],
+    )
+    def test_every_ascii_character_reads_as_in_the_line_scan(self, header, first, line, tmp_path):
+        # each ASCII character at each position of a body line
+        path = tmp_path / "model.txt"
+        for c in map(chr, range(128)):
+            for k in range(len(line) + 1):
+                path.write_text(f"{header}\n{first}\n{line[:k]}{c}{line[k:]}\n")
+                bulk, scanned = self.load_both(path)
+                assert bulk == scanned, (c, k)
+
+    @pytest.mark.parametrize("algo,budget", ALGOS)
+    def test_saved_files_load_without_the_line_scan(self, algo, budget, tmp_path):
+        rng = np.random.default_rng(26)
+        m = make_learner(algo, budget=budget, gamma=0.8, eta=0.3, lam=0.05)
+        for x in random_stream(rng, 400, 60):
+            m.update(x)
+        path = tmp_path / "model.txt"
+        save_model(m, path)
+        with mock.patch.object(learners, "_scan_body", side_effect=AssertionError("line scan reached")):
+            loaded = load_model(path)
+        assert np.array_equal(loaded.weights.array, m.weights.array)
+        if algo in ("sofs", "arow"):
+            assert np.array_equal(loaded.sigma.array, m.sigma.array)
+        if algo in ("sofs", "pet"):
+            assert sorted(loaded.tracker.indices()) == sorted(m.tracker.indices())
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            pytest.param("\n1 -0.5 0.25\n\n  \n3 2.0 1.0\n\n", id="blank-lines"),
+            pytest.param("1 -0.5 0.25\r\n3 2.0 1.0\r\n", id="crlf"),
+            pytest.param("1\t-0.5\t0.25\n3\t2.0\t1.0\n", id="tabs"),
+            pytest.param("1 -0.5 0.25  \n3 2.0 1.0 \t\n", id="trailing-spaces"),
+            pytest.param("1 -0.5 0.25\n3 2.0 1.0", id="no-final-newline"),
+        ],
+    )
+    def test_edge_bodies_load_without_warnings(self, body, tmp_path):
+        path = tmp_path / "model.txt"
+        path.write_bytes(("OFSMODEL v1 sofs 5 2 gamma=1.0\n" + body).encode("ascii"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with mock.patch.object(learners, "_scan_body", side_effect=AssertionError("line scan reached")):
+                m = load_model(path)
+        assert caught == []
+        assert m.mu.to_list() == [0.0, -0.5, 0.0, 2.0, 0.0]
+        assert m.sigma.to_list() == [1.0, 0.25, 1.0, 1.0, 1.0]
+        assert sorted(m.tracker.indices()) == [1, 3]
+
+    @pytest.mark.parametrize("body", ["", "\n \n\t\n"], ids=["empty", "blank"])
+    def test_header_without_body_loads_without_warnings(self, body, tmp_path):
+        path = tmp_path / "model.txt"
+        path.write_text("OFSMODEL v1 arow 6 0 gamma=1.0\n" + body)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")  # np.loadtxt warns on a body with no rows
+            m = load_model(path)
+        assert caught == []
+        assert m.mu.to_list() == [0.0] * 6
+        assert m.sigma.to_list() == [1.0] * 6
 
     def test_loaded_sofs_continues_identically(self, tmp_path):
         rng = np.random.default_rng(24)
@@ -664,6 +770,7 @@ class TestPersistence:
             ("0 0.5 0.5\n2 0.25 nan\n", "covariance nan outside (0, 1]"),
             ("0 0.5 0.5\n2 inf 0.5\n", "non-finite weight inf"),
             ("0 0.5 0.5\n2 0.25\n", "expected 3 numbers, got '2 0.25'"),
+            ("1 0.5 0.5\n1 -0.5 0.25\n", "index 1 listed twice"),
         ],
     )
     def test_reject_corrupt_body(self, body, message, tmp_path):
