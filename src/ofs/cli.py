@@ -1,7 +1,7 @@
 """Command line frontend: generate, train, predict, eval, sweep, cv.
 
 Exit codes: 0 on success, 1 for data errors (malformed input), 2 for usage
-errors (bad flags, bad combinations, missing files).
+errors (bad flags or numbers in them, bad combinations, missing files).
 """
 from __future__ import annotations
 
@@ -14,16 +14,25 @@ from . import data as dat
 from . import learners, pipeline
 
 
-def _csv_list(text: str) -> List[str]:
-    return [tok.strip() for tok in text.split(",") if tok.strip()]
+def _csv_list(text: str, kind: type = str) -> list:
+    try:
+        return [kind(tok.strip()) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a comma list of {kind.__name__} values, got {text!r}") from None
 
 
 def _csv_ints(text: str) -> List[int]:
-    return [int(tok) for tok in _csv_list(text)]
+    return _csv_list(text, int)
 
 
 def _csv_floats(text: str) -> List[float]:
-    return [float(tok) for tok in _csv_list(text)]
+    return _csv_list(text, float)
+
+
+def _input_file(path: str) -> str:
+    if not os.path.exists(path):
+        raise argparse.ArgumentTypeError(f"no such file: {path}")
+    return path
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -46,25 +55,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("train", help="train one model on a libsvm file")
     t.add_argument("--algo", choices=learners.ALGOS, required=True)
-    t.add_argument("--B", type=int, default=None, help="selection budget (sofs/pet/fofs)")
+    budgeted = "/".join(algo for algo in learners.ALGOS if algo in learners.BUDGETED)
+    t.add_argument("--B", type=int, default=None, help=f"selection budget ({budgeted})")
     t.add_argument("--gamma", type=float, default=1.0)
     t.add_argument("--eta", type=float, default=0.2)
     t.add_argument("--lambda", dest="lam", type=float, default=0.01)
-    t.add_argument("--data", required=True)
+    t.add_argument("--data", type=_input_file, required=True)
     t.add_argument("--model", required=True, help="where to write the model")
     t.set_defaults(func=_cmd_train)
 
     pr = sub.add_parser("predict", help="write one predicted label per line")
-    pr.add_argument("--model", required=True)
-    pr.add_argument("--data", required=True)
+    pr.add_argument("--model", type=_input_file, required=True)
+    pr.add_argument("--data", type=_input_file, required=True)
     pr.add_argument("--out", default=None, help="output file (default stdout)")
     pr.set_defaults(func=_cmd_predict)
 
     e = sub.add_parser("eval", help="accuracy of a saved model on a libsvm file")
-    e.add_argument("--model", required=True)
-    e.add_argument("--data", required=True)
+    e.add_argument("--model", type=_input_file, required=True)
+    e.add_argument("--data", type=_input_file, required=True)
     e.add_argument(
         "--recovery",
+        type=_input_file,
         default=None,
         metavar="TRUTH",
         help="also report |selected & truth| / |truth| against a ground-truth index file",
@@ -72,10 +83,10 @@ def build_parser() -> argparse.ArgumentParser:
     e.set_defaults(func=_cmd_eval)
 
     s = sub.add_parser("sweep", help="benchmark algorithms across budgets and repeats")
-    s.add_argument("--algos", required=True, help="comma list from: " + ",".join(learners.ALGOS))
-    s.add_argument("--B", required=True, help="comma list of budgets")
-    s.add_argument("--train", required=True)
-    s.add_argument("--test", required=True)
+    s.add_argument("--algos", type=_csv_list, required=True, help="comma list from: " + ",".join(learners.ALGOS))
+    s.add_argument("--B", type=_csv_ints, required=True, help="comma list of budgets")
+    s.add_argument("--train", type=_input_file, required=True)
+    s.add_argument("--test", type=_input_file, required=True)
     s.add_argument("--repeats", type=int, default=10)
     s.add_argument("--csv", default=None, help="also write rows to this CSV file")
     s.add_argument("--seed", type=int, default=0)
@@ -89,25 +100,25 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("cv", help="pick hyperparameters by k-fold cross validation")
     c.add_argument("--algo", choices=learners.ALGOS, required=True)
     c.add_argument("--B", type=int, default=None)
-    c.add_argument("--data", required=True)
+    c.add_argument("--data", type=_input_file, required=True)
     c.add_argument("--folds", type=int, default=5)
-    c.add_argument("--gammas", default="1.0")
-    c.add_argument("--etas", default="0.2")
-    c.add_argument("--lambdas", default="0.01")
+    c.add_argument("--gammas", type=_csv_floats, default="1.0")
+    c.add_argument("--etas", type=_csv_floats, default="0.2")
+    c.add_argument("--lambdas", type=_csv_floats, default="0.01")
     c.set_defaults(func=_cmd_cv)
 
     return p
 
 
-def _require_budget(parser: argparse.ArgumentParser, algo: str, budget: Optional[int]) -> None:
-    if algo in learners.BUDGETED and (budget is None or budget < 1):
-        parser.error(f"--B >= 1 is required for {algo}")
-
-
-def _require_files(parser: argparse.ArgumentParser, *paths: Optional[str]) -> None:
-    for path in paths:
-        if path is not None and not os.path.exists(path):
-            parser.error(f"no such file: {path}")
+def _require_budget(parser: argparse.ArgumentParser, args) -> None:
+    """A budgeted algorithm without B >= 1 is a usage error, found before any input is read."""
+    if args.command == "sweep":
+        algos, least = args.algos, min(args.B, default=0)
+    else:
+        algos, least = [getattr(args, "algo", None)], getattr(args, "B", None) or 0
+    for algo in algos:
+        if algo in learners.BUDGETED and least < 1:
+            parser.error(f"--B >= 1 is required for {algo}")
 
 
 def _cmd_generate(args) -> int:
@@ -201,14 +212,9 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    algos = _csv_list(args.algos)
-    for algo in algos:
-        if algo not in learners.ALGOS:
-            raise ValueError(f"unknown algorithm {algo!r}")
-    budgets = _csv_ints(args.B)
     reports = pipeline.benchmark_sweep(
-        algos,
-        budgets,
+        args.algos,
+        args.B,
         dat.DatasetStream.from_file(args.train),
         dat.DatasetStream.from_file(args.test),
         args.repeats,
@@ -227,12 +233,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_cv(args) -> int:
-    grid = pipeline.CvGrid(
-        gammas=_csv_floats(args.gammas),
-        etas=_csv_floats(args.etas),
-        lambdas=_csv_floats(args.lambdas),
-        folds=args.folds,
-    )
+    grid = pipeline.CvGrid(gammas=args.gammas, etas=args.etas, lambdas=args.lambdas, folds=args.folds)
     stream = dat.DatasetStream.from_file(args.data)
     best, results = pipeline.cross_validate(args.algo, args.B, grid, stream)
     for params, acc in results:
@@ -246,36 +247,13 @@ def _cmd_cv(args) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-
-    # validate combinations before touching any input
-    if args.command in ("train", "cv"):
-        _require_budget(parser, args.algo, args.B)
-    if args.command == "sweep":
-        for algo in _csv_list(args.algos):
-            if algo in learners.BUDGETED:
-                budgets = _csv_ints(args.B)
-                if not budgets or min(budgets) < 1:
-                    parser.error(f"--B >= 1 is required for {algo}")
-    if args.command == "train":
-        _require_files(parser, args.data)
-    elif args.command in ("predict", "eval"):
-        _require_files(parser, args.model, args.data)
-        if args.command == "eval":
-            _require_files(parser, args.recovery)
-    elif args.command == "sweep":
-        _require_files(parser, args.train, args.test)
-    elif args.command == "cv":
-        _require_files(parser, args.data)
-
+    _require_budget(parser, args)
     try:
         return args.func(args)
-    except dat.LibsvmFormatError as err:
-        print(f"ofs: {err}", file=sys.stderr)
-        return 1
     except FileNotFoundError as err:
         print(f"ofs: {err}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as err:
+    except (ValueError, OSError) as err:  # a LibsvmFormatError is a ValueError
         print(f"ofs: {err}", file=sys.stderr)
         return 1
 

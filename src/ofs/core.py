@@ -8,6 +8,7 @@ multiplicatively and drifts visibly in anything narrower.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Tuple
 
@@ -34,8 +35,9 @@ class SparseExample:
     def from_pairs(cls, label: int, pairs: Iterable[Tuple[int, float]]) -> "SparseExample":
         """Build and validate an example from (index, value) pairs.
 
-        Zero-valued entries are dropped; negative, duplicate or out-of-order
-        indices raise ``ValueError``.
+        Zero-valued entries are dropped. As in the libsvm parser, a NaN or
+        infinite value and an index that does not fit int64 raise
+        ``ValueError``, and so do negative, duplicate or out-of-order indices.
         """
         if label not in VALID_LABELS:
             raise ValueError(f"label must be -1 or +1, got {label!r}")
@@ -46,10 +48,14 @@ class SparseExample:
             i = int(i)
             if i < 0:
                 raise ValueError(f"negative feature index {i}")
+            if i >= 2**63:
+                raise ValueError(f"feature index {i} does not fit int64")
             if i <= last:
                 raise ValueError(f"feature indices not strictly increasing at {i}")
             last = i
             v = float(v)
+            if not math.isfinite(v):
+                raise ValueError(f"non-finite value {v} at feature index {i}")
             if v != 0.0:
                 idx.append(i)
                 vals.append(v)

@@ -27,25 +27,29 @@ import numpy as np
 from .core import DenseVector, SparseExample, sparse_dot, squared_hinge_slope
 from .topb import TopBTracker
 
-ALGOS = ("sofs", "pet", "fofs", "ogd", "arow")
-BUDGETED = frozenset({"sofs", "pet", "fofs"})
-
 MODEL_MAGIC = "OFSMODEL"
 MODEL_VERSION = "v1"
 
-# hyperparameter -> whether 0 is allowed; eta = 0 yields a learner that
-# never moves, useful as a degenerate grid point
-_ZERO_ALLOWED = {"gamma": False, "eta": True, "lambda": False}
+# make_learner keyword -> the hyperparameter's name in messages and model headers
+_PARAM_NAMES = {"gamma": "gamma", "eta": "eta", "lam": "lambda"}
 
 
-def _check_hyperparam(name: str, value: float) -> float:
+def _check_hyperparam(key: str, value: float) -> float:
     """Return ``value`` as a float, or raise ``ValueError`` if it is not a
-    finite number > 0 (>= 0 for ``eta``)."""
-    zero_ok = _ZERO_ALLOWED[name]
+    finite number > 0 (>= 0 for ``eta``: a learner that never moves is a
+    useful degenerate grid point)."""
+    zero_ok = key == "eta"
     if not (math.isfinite(value) and (value >= 0.0 if zero_ok else value > 0.0)):
         sign = "non-negative" if zero_ok else "positive"
-        raise ValueError(f"{name} must be {sign} and finite, got {value}")
+        raise ValueError(f"{_PARAM_NAMES[key]} must be {sign} and finite, got {value}")
     return float(value)
+
+
+def _check_budget(algo: str, budget: Optional[int]) -> int:
+    """Return ``budget`` as an int, or raise ``ValueError`` unless it is >= 1."""
+    if budget is None or budget < 1:
+        raise ValueError(f"{algo} needs B >= 1, got {budget}")
+    return int(budget)
 
 
 def truncate(w: DenseVector, budget: int) -> DenseVector:
@@ -74,6 +78,8 @@ class OnlineLearner:
     """Common prediction plumbing; subclasses implement ``update``."""
 
     algo = "?"
+    reads: Tuple[str, ...] = ()  # the make_learner keywords the constructor takes
+    budgeted = False  # whether the constructor takes a budget B first
     budget: Optional[int] = None
 
     @property
@@ -96,7 +102,7 @@ class OnlineLearner:
         return frozenset(np.flatnonzero(self.weights.array).tolist())
 
     def hyperparams(self) -> Dict[str, float]:
-        return {}
+        return {_PARAM_NAMES[key]: getattr(self, key) for key in self.reads}
 
     def _grown_margin(self, ex: SparseExample) -> Tuple[float, np.ndarray]:
         """Margin and the weights ``wi`` at ``ex.indices``, after growing the
@@ -121,6 +127,8 @@ class _SecondOrder(OnlineLearner):
     shrink, and only when the coordinate is touched by an update.
     """
 
+    reads = ("gamma",)
+
     def __init__(self, gamma: float = 1.0):
         self.gamma = _check_hyperparam("gamma", gamma)
         self.mu = DenseVector(fill=0.0)
@@ -133,9 +141,6 @@ class _SecondOrder(OnlineLearner):
     def _ensure(self, n: int) -> None:
         self.mu.ensure(n)
         self.sigma.ensure(n)
-
-    def hyperparams(self) -> Dict[str, float]:
-        return {"gamma": self.gamma}
 
     def _arow_step(self, idx: np.ndarray, vals: np.ndarray, y: int, margin: float, wi: np.ndarray) -> np.ndarray:
         """Closed-form second-order update on the active coordinates.
@@ -184,12 +189,13 @@ class SofsModel(_SecondOrder):
     """
 
     algo = "sofs"
+    budgeted = True
 
     def __init__(self, budget: int, gamma: float = 1.0):
+        self.budget = _check_budget(self.algo, budget)
         super().__init__(gamma=gamma)
         sigma = self.sigma
-        self.tracker = TopBTracker(budget, lambda ix: sigma.array[ix])
-        self.budget = int(budget)
+        self.tracker = TopBTracker(self.budget, lambda ix: sigma.array[ix])
 
     def update(self, ex: SparseExample) -> float:
         y = ex.label
@@ -206,17 +212,15 @@ class SofsModel(_SecondOrder):
 class FirstOrderModel(OnlineLearner):
     """Dense weight vector with a constant learning rate."""
 
-    def __init__(self, eta: float = 0.2, budget: Optional[int] = None):
+    reads = ("eta",)
+
+    def __init__(self, eta: float = 0.2):
         self.eta = _check_hyperparam("eta", eta)
-        self.budget = budget
         self.w = DenseVector(fill=0.0)
 
     @property
     def weights(self) -> DenseVector:
         return self.w
-
-    def hyperparams(self) -> Dict[str, float]:
-        return {"eta": self.eta}
 
 
 class PetModel(FirstOrderModel):
@@ -228,11 +232,11 @@ class PetModel(FirstOrderModel):
     """
 
     algo = "pet"
+    budgeted = True
 
     def __init__(self, budget: int, eta: float = 0.2):
-        if budget is None or budget < 1:
-            raise ValueError("pet requires a selection budget B >= 1")
-        super().__init__(eta=eta, budget=int(budget))
+        self.budget = _check_budget(self.algo, budget)
+        super().__init__(eta=eta)
         w = self.w
         self.tracker = TopBTracker(self.budget, lambda ix: -np.abs(w.array[ix]))
 
@@ -258,16 +262,13 @@ class FofsModel(FirstOrderModel):
     """
 
     algo = "fofs"
+    reads = ("eta", "lam")
+    budgeted = True
 
     def __init__(self, budget: int, eta: float = 0.2, lam: float = 0.01):
-        if budget is None or budget < 1:
-            raise ValueError("fofs requires a selection budget B >= 1")
-        lam = _check_hyperparam("lambda", lam)
-        super().__init__(eta=eta, budget=int(budget))
-        self.lam = lam
-
-    def hyperparams(self) -> Dict[str, float]:
-        return {"eta": self.eta, "lambda": self.lam}
+        self.budget = _check_budget(self.algo, budget)
+        super().__init__(eta=eta)
+        self.lam = _check_hyperparam("lam", lam)
 
     def update(self, ex: SparseExample) -> float:
         # the decay below rescales every weight, so the gathered ones are stale
@@ -291,11 +292,11 @@ class OgdModel(FirstOrderModel):
     algo = "ogd"
 
     def __init__(self, eta: float = 0.2):
-        super().__init__(eta=eta, budget=None)
+        super().__init__(eta=eta)
         self.t = 0
 
     def hyperparams(self) -> Dict[str, float]:
-        return {"eta": self.eta, "t": self.t}
+        return {**super().hyperparams(), "t": self.t}
 
     def update(self, ex: SparseExample) -> float:
         self.t += 1
@@ -305,6 +306,18 @@ class OgdModel(FirstOrderModel):
             step = self.eta / math.sqrt(self.t)
             self.w.array[ex.indices] = wi + step * y * ex.values
         return margin
+
+
+LEARNERS = {cls.algo: cls for cls in (SofsModel, PetModel, FofsModel, OgdModel, ArowModel)}
+ALGOS = tuple(LEARNERS)
+BUDGETED = frozenset(algo for algo, cls in LEARNERS.items() if cls.budgeted)
+
+
+def learner_class(algo: str) -> type:
+    """The learner class named ``algo``; ``ValueError`` for an unknown name."""
+    if algo not in LEARNERS:
+        raise ValueError(f"unknown algorithm {algo!r}; expected one of {', '.join(ALGOS)}")
+    return LEARNERS[algo]
 
 
 def make_learner(
@@ -320,21 +333,12 @@ def make_learner(
     gamma, eta and lambda are checked whichever algorithm reads them, so a
     bad value is rejected even when ``algo`` ignores it.
     """
-    for name, value in (("gamma", gamma), ("eta", eta), ("lambda", lam)):
-        _check_hyperparam(name, value)
-    if algo in BUDGETED and (budget is None or budget < 1):
-        raise ValueError(f"{algo} requires a selection budget B >= 1")
-    if algo == "sofs":
-        return SofsModel(budget, gamma=gamma)
-    if algo == "arow":
-        return ArowModel(gamma=gamma)
-    if algo == "pet":
-        return PetModel(budget, eta=eta)
-    if algo == "fofs":
-        return FofsModel(budget, eta=eta, lam=lam)
-    if algo == "ogd":
-        return OgdModel(eta=eta)
-    raise ValueError(f"unknown algorithm {algo!r}; expected one of {', '.join(ALGOS)}")
+    given = {"gamma": gamma, "eta": eta, "lam": lam}
+    for key, value in given.items():
+        _check_hyperparam(key, value)
+    cls = learner_class(algo)
+    kwargs = {key: given[key] for key in cls.reads}
+    return cls(budget, **kwargs) if cls.budgeted else cls(**kwargs)
 
 
 def save_model(model: OnlineLearner, path) -> None:
@@ -370,52 +374,45 @@ def save_model(model: OnlineLearner, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _load_header(path, header: List[str]) -> OnlineLearner:
-    """Build the learner a model header describes, checking every field."""
-
-    def bad(what: str) -> ValueError:
-        return ValueError(f"{path}: line 1: {what}")
+def _load_header(header: List[str]) -> OnlineLearner:
+    """Build the learner a model header describes, checking every field;
+    ``ValueError`` says what is wrong, and :func:`load_model` adds where."""
 
     def count(name: str, tok: str) -> int:
         if not (tok.isascii() and tok.isdigit()):
-            raise bad(f"{name} must be an integer >= 0, got {tok!r}")
+            raise ValueError(f"{name} must be an integer >= 0, got {tok!r}")
         return int(tok)
 
     if len(header) < 5 or header[0] != MODEL_MAGIC:
-        raise bad("not a model file")
+        raise ValueError("not a model file")
     if header[1] != MODEL_VERSION:
-        raise bad(f"unsupported model version {header[1]!r}")
+        raise ValueError(f"unsupported model version {header[1]!r}")
     algo = header[2]
     if algo not in ALGOS:
-        raise bad(f"unknown algorithm {algo!r}")
+        raise ValueError(f"unknown algorithm {algo!r}")
     d = count("d", header[3])
     budget = count("B", header[4])
-    if algo in BUDGETED and budget < 1:
-        raise bad(f"{algo} needs B >= 1, got {budget}")
+    expected = list(make_learner(algo, budget=budget).hyperparams())  # checks B >= 1 for a budgeted learner
     if algo not in BUDGETED and budget != 0:
-        raise bad(f"{algo} has no budget, so B must be 0, got {budget}")
+        raise ValueError(f"{algo} has no budget, so B must be 0, got {budget}")
     values: Dict[str, str] = {}
     for tok in header[5:]:
         key, eq, val = tok.partition("=")
         if not eq:
-            raise bad(f"expected key=value, got {tok!r}")
+            raise ValueError(f"expected key=value, got {tok!r}")
         if key in values:
-            raise bad(f"duplicate key {key!r}")
+            raise ValueError(f"duplicate key {key!r}")
         values[key] = val
-    expected = list(make_learner(algo, budget=budget or None).hyperparams())
     if sorted(values) != sorted(expected):
-        raise bad(f"{algo} keys must be {', '.join(expected)}, got {', '.join(values) or 'none'}")
+        raise ValueError(f"{algo} keys must be {', '.join(expected)}, got {', '.join(values) or 'none'}")
     t = count("t", values.pop("t")) if "t" in values else 0
     kwargs: Dict[str, float] = {}
     for key, val in values.items():
         try:
             kwargs["lam" if key == "lambda" else key] = float(val)
         except ValueError:
-            raise bad(f"{key} must be a number, got {val!r}") from None
-    try:
-        model = make_learner(algo, budget=budget or None, **kwargs)
-    except ValueError as err:
-        raise bad(str(err)) from None
+            raise ValueError(f"{key} must be a number, got {val!r}") from None
+    model = make_learner(algo, budget=budget, **kwargs)
     model._ensure(d)
     if isinstance(model, OgdModel):
         model.t = t
@@ -514,7 +511,11 @@ def load_model(path) -> OnlineLearner:
     over the features the file lists.
     """
     with open(path, "r", encoding="ascii") as fh:
-        model = _load_header(path, fh.readline().split())
+        header = fh.readline().split()
+        try:
+            model = _load_header(header)
+        except ValueError as err:
+            raise ValueError(f"{path}: line 1: {err}") from None
         d = len(model.weights)
         second = isinstance(model, _SecondOrder)
         body = _read_body(fh, d, second)

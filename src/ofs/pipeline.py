@@ -7,6 +7,7 @@ learner, reaches the caller at once.
 """
 from __future__ import annotations
 
+import itertools
 import os
 import tempfile
 import time
@@ -18,7 +19,7 @@ import numpy as np
 
 from .core import SparseExample
 from .data import DatasetStream, LibsvmFormatError
-from .learners import BUDGETED, OnlineLearner, _check_hyperparam, make_learner
+from .learners import BUDGETED, OnlineLearner, _check_hyperparam, learner_class, make_learner
 
 CSV_HEADER = "algo,B,seed,accuracy,mistakes,sparsity_pct,train_s,total_s"
 
@@ -133,18 +134,19 @@ class CvGrid:
         if not (self.gammas and self.etas and self.lambdas):
             raise ValueError("grid lists must be non-empty")
         # checked whichever algorithm reads them, as make_learner does
-        for name, values in (("gamma", self.gammas), ("eta", self.etas), ("lambda", self.lambdas)):
+        for key, values in self._lists().items():
             for value in values:
-                _check_hyperparam(name, value)
+                _check_hyperparam(key, value)
+
+    def _lists(self) -> Dict[str, Sequence[float]]:
+        """The candidates for each :func:`make_learner` keyword."""
+        return {"gamma": self.gammas, "eta": self.etas, "lam": self.lambdas}
 
     def combinations(self, algo: str) -> List[Dict[str, float]]:
-        if algo in ("sofs", "arow"):
-            return [{"gamma": g} for g in self.gammas]
-        if algo in ("pet", "ogd"):
-            return [{"eta": e} for e in self.etas]
-        if algo == "fofs":
-            return [{"eta": e, "lam": l} for e in self.etas for l in self.lambdas]
-        raise ValueError(f"unknown algorithm {algo!r}")
+        """Every keyword dict over the lists ``algo`` reads, the first key outermost."""
+        keys = learner_class(algo).reads
+        lists = self._lists()
+        return [dict(zip(keys, values)) for values in itertools.product(*(lists[k] for k in keys))]
 
 
 def cross_validate(
@@ -188,11 +190,10 @@ class _RowCache:
 
     Up to ``limit`` rows are held in memory. Past that, indices and values
     are appended chunk by chunk to raw files in ``spill_dir`` and read back
-    through ``np.memmap``; labels and row offsets stay in memory. With
-    ``file_backed`` set, a stream over the limit must have a ``path``.
+    through ``np.memmap``; labels and row offsets stay in memory.
     """
 
-    def __init__(self, stream: DatasetStream, limit: int, spill_dir: str, name: str, *, file_backed: bool = False):
+    def __init__(self, stream: DatasetStream, limit: int, spill_dir: str, name: str):
         labels, indptr = array("b"), array("q", [0])
         held: List[SparseExample] = []
         spill: Optional[List[str]] = None
@@ -202,11 +203,6 @@ class _RowCache:
             held.append(ex)
             if len(held) > limit:
                 if spill is None:
-                    if file_backed and getattr(stream, "path", None) is None:
-                        raise ValueError(
-                            f"stream exceeds the in-memory budget of {limit} examples "
-                            "and is not file backed; raise max_in_memory or point the sweep at a file"
-                        )
                     spill = [os.path.join(spill_dir, f"{name}.{part}") for part in ("idx", "val")]
                 _spill_rows(held, spill)
                 held = []
@@ -269,7 +265,7 @@ def benchmark_sweep(
 
     Each stream is parsed once into a :class:`_RowCache`; beyond
     ``max_in_memory`` rows the cache spills to a temporary directory that
-    is removed on return, and a file-backed training stream is required.
+    is removed on return, whether the stream came from a file or from memory.
     A malformed line fails while the caches are built, before any row
     trains. Learners without a budget train once per repeat and report
     B = 0. Repeat r walks the training rows in the order of
@@ -280,10 +276,12 @@ def benchmark_sweep(
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
+    for algo in algos:
+        learner_class(algo)  # an unknown name fails before any input is read
     declared = dim if dim is not None else train.dim
     reports: List[RunReport] = []
     with tempfile.TemporaryDirectory(prefix="ofs-sweep-") as tmp:
-        train_rows = _RowCache(train, max_in_memory, tmp, "train", file_backed=True)
+        train_rows = _RowCache(train, max_in_memory, tmp, "train")
         test_rows = _RowCache(test, max_in_memory, tmp, "test")
         for r in range(repeats):
             seed = base_seed + r

@@ -101,7 +101,8 @@ class TruncatePet(FirstOrderModel):
     algo = "pet"
 
     def __init__(self, budget: int, eta: float = 0.2):
-        super().__init__(eta=eta, budget=int(budget))
+        super().__init__(eta=eta)
+        self.budget = int(budget)
 
     def update(self, ex: SparseExample) -> float:
         margin, _ = self._grown_margin(ex)

@@ -1,7 +1,14 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 from ofs.cli import main
 from ofs.data import read_libsvm
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run(capsys, *argv):
@@ -94,6 +101,27 @@ class TestUsageErrors:
                 ]
             )
         assert info.value.code == 2
+
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ("sweep --algos sofs --B x --train DATA --test DATA", "argument --B: expected a comma list of int values"),
+            ("cv --algo arow --gammas 1,x --data DATA", "argument --gammas: expected a comma list of float values"),
+            ("cv --algo arow --data absent.svm", "argument --data: no such file: absent.svm"),
+        ],
+        ids=["sweep-B", "cv-gammas", "missing-data"],
+    )
+    def test_bad_argument_is_a_clean_usage_error(self, tmp_path, line, message):
+        data = tmp_path / "d.svm"
+        data.write_text("+1 1:1\n")
+        argv = [str(data) if arg == "DATA" else arg for arg in line.split()]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "ofs.cli", *argv], capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert message in proc.stderr
 
 
 class TestDataErrors:

@@ -51,6 +51,18 @@ class TestSparseExample:
         e = ex(1)
         assert e.nnz == 0
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_value(self, value):
+        # the libsvm parser rejects these too; a learner fed one would save
+        # a model file that load_model refuses
+        with pytest.raises(ValueError, match="non-finite value"):
+            ex(1, (0, 1.0), (4, value))
+
+    def test_index_beyond_int64(self):
+        assert ex(1, (2**63 - 1, 1.0)).indices.tolist() == [2**63 - 1]
+        with pytest.raises(ValueError, match="does not fit int64"):
+            ex(1, (2**63, 1.0))
+
 
 class TestDenseVector:
     def test_initial_fill(self):

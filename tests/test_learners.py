@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tempfile
 import warnings
@@ -22,6 +23,7 @@ from ofs.learners import (
     save_model,
     truncate,
 )
+from ofs.pipeline import CvGrid
 
 from hypothesis import event, given, settings, strategies as st
 
@@ -425,6 +427,48 @@ class TestMakeLearner:
         m = make_learner("fofs", budget=2, eta=0.5, lam=0.25)
         assert m.hyperparams() == {"eta": 0.5, "lambda": 0.25}
         assert make_learner("sofs", budget=2, gamma=3.0).hyperparams() == {"gamma": 3.0}
+
+
+class TestLearnerTable:
+    # sha256 of save_model's output for each learner after the stream of
+    # test_saved_bytes_unchanged: how learners are declared and built must
+    # not change one byte of a saved model
+    DIGESTS = {
+        "sofs": "7a2e2441b27e2638ec7bed6aabec675771b8fe99eedb12825797777c23841c20",
+        "pet": "38e095393706e60e59834107d33ddd5bfec965f15a2d442decac2c48540c7187",
+        "fofs": "3d11856378ceedcdf32ae4a922c7676c744b57614e3925f74efa69d365c45a34",
+        "ogd": "4b1d7500d3ca10962e1036b8b433db9618de69d2735035727199dd4e3964adb0",
+        "arow": "a1feb244fa376e8770196ed81844001a064203b7554255d3bd99711656f81e8a",
+    }
+
+    @pytest.mark.parametrize("algo", ALGOS)
+    def test_every_grid_point_is_the_learners_header(self, algo):
+        grid = CvGrid(gammas=(0.5, 2.0), etas=(0.0, 0.3), lambdas=(0.01, 0.2))
+        combos = grid.combinations(algo)
+        assert combos and len({tuple(c.items()) for c in combos}) == len(combos)
+        for params in combos:
+            model = make_learner(algo, budget=3 if algo in BUDGETED else None, **params)
+            written = {k: v for k, v in model.hyperparams().items() if k != "t"}
+            assert written == {("lambda" if k == "lam" else k): v for k, v in params.items()}
+
+    @pytest.mark.parametrize("algo", ALGOS)
+    def test_saved_bytes_unchanged(self, algo, tmp_path):
+        model = make_learner(algo, budget=6 if algo in BUDGETED else None, gamma=0.7, eta=0.3, lam=0.05)
+        for x in random_stream(np.random.default_rng(11), 400, 80):
+            model.update(x)
+        path = tmp_path / "model.txt"
+        save_model(model, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.DIGESTS[algo]
+
+    @pytest.mark.parametrize("budget", [None, 0])
+    @pytest.mark.parametrize("cls", [SofsModel, PetModel, FofsModel])
+    def test_budgeted_constructors_share_one_check(self, cls, budget):
+        with pytest.raises(ValueError) as info:
+            cls(budget)
+        assert str(info.value) == f"{cls.algo} needs B >= 1, got {budget}"
+        with pytest.raises(ValueError) as via_name:
+            make_learner(cls.algo, budget=budget)
+        assert str(via_name.value) == str(info.value)
 
 
 def growing_stream(rng: np.random.Generator, n: int) -> list:

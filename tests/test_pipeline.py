@@ -289,10 +289,19 @@ class TestSweep:
             assert ra.mistakes == rb.mistakes
             assert ra.selected == rb.selected
 
-    def test_oversized_unbacked_stream_rejected(self):
+    def test_oversized_in_memory_stream_spills(self, monkeypatch):
+        # the spill writes its own files, so a stream without a path spills too
         train, test = self.desk_data(seed=55)
-        with pytest.raises(ValueError):
-            benchmark_sweep(["sofs"], [10], train, test, repeats=1, max_in_memory=10)
+        args = (["sofs", "pet", "ogd"], [10], train, test)
+        mem = benchmark_sweep(*args, repeats=2)
+        spill_rows = pipeline._spill_rows
+        spills = []
+        monkeypatch.setattr(pipeline, "_spill_rows", lambda rows, paths: spills.append(paths) or spill_rows(rows, paths))
+        spilled = benchmark_sweep(*args, repeats=2, max_in_memory=10)
+        assert any(paths[0].endswith("train.idx") for paths in spills)
+        assert [(r.accuracy, r.mistakes, r.selected) for r in spilled] == [
+            (r.accuracy, r.mistakes, r.selected) for r in mem
+        ]
 
     def test_accuracy_rises_with_budget_until_idim(self):
         spec = SyntheticSpec(n_train=2000, n_test=500, dim=500, idim=40, ndim=80, seed=56)
