@@ -1,7 +1,7 @@
 """Command line frontend: generate, train, predict, eval, sweep, cv.
 
 Exit codes: 0 on success, 1 for data errors (malformed input), 2 for usage
-errors (bad flags or numbers in them, bad combinations, missing files).
+errors (bad flags or numbers in them, bad combinations, unusable paths).
 """
 from __future__ import annotations
 
@@ -32,6 +32,17 @@ def _csv_floats(text: str) -> List[float]:
 def _input_file(path: str) -> str:
     if not os.path.exists(path):
         raise argparse.ArgumentTypeError(f"no such file: {path}")
+    if os.path.isdir(path):  # not isfile: a FIFO or /dev/stdin is readable
+        raise argparse.ArgumentTypeError(f"is a directory: {path}")
+    return path
+
+
+def _output_file(path: str) -> str:
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise argparse.ArgumentTypeError(f"no such directory: {parent}")
+    if os.path.isdir(path):
+        raise argparse.ArgumentTypeError(f"is a directory: {path}")
     return path
 
 
@@ -61,13 +72,13 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--eta", type=float, default=0.2)
     t.add_argument("--lambda", dest="lam", type=float, default=0.01)
     t.add_argument("--data", type=_input_file, required=True)
-    t.add_argument("--model", required=True, help="where to write the model")
+    t.add_argument("--model", type=_output_file, required=True, help="where to write the model")
     t.set_defaults(func=_cmd_train)
 
     pr = sub.add_parser("predict", help="write one predicted label per line")
     pr.add_argument("--model", type=_input_file, required=True)
     pr.add_argument("--data", type=_input_file, required=True)
-    pr.add_argument("--out", default=None, help="output file (default stdout)")
+    pr.add_argument("--out", type=_output_file, default=None, help="output file (default stdout)")
     pr.set_defaults(func=_cmd_predict)
 
     e = sub.add_parser("eval", help="accuracy of a saved model on a libsvm file")
@@ -88,12 +99,12 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--train", type=_input_file, required=True)
     s.add_argument("--test", type=_input_file, required=True)
     s.add_argument("--repeats", type=int, default=10)
-    s.add_argument("--csv", default=None, help="also write rows to this CSV file")
+    s.add_argument("--csv", type=_output_file, default=None, help="also write rows to this CSV file")
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--gamma", type=float, default=1.0)
     s.add_argument("--eta", type=float, default=0.2)
     s.add_argument("--lambda", dest="lam", type=float, default=0.01)
-    s.add_argument("--dim", type=int, default=None, help="declared dimensionality for sparsity")
+    s.add_argument("--dim", type=int, default=None, help="dimensionality that sparsity is measured against")
     s.add_argument("--max-in-memory", type=int, default=1_000_000)
     s.set_defaults(func=_cmd_sweep)
 
@@ -152,8 +163,7 @@ def _cmd_train(args) -> int:
     learner = learners.make_learner(
         args.algo, budget=args.B, gamma=args.gamma, eta=args.eta, lam=args.lam
     )
-    stream = dat.DatasetStream.from_file(args.data)
-    result = pipeline.train_stream(learner, stream)
+    result = pipeline.train_stream(learner, dat.read_libsvm(args.data))
     learners.save_model(learner, args.model)
     rate = result.mistakes / result.examples if result.examples else 0.0
     print(
@@ -215,8 +225,8 @@ def _cmd_sweep(args) -> int:
     reports = pipeline.benchmark_sweep(
         args.algos,
         args.B,
-        dat.DatasetStream.from_file(args.train),
-        dat.DatasetStream.from_file(args.test),
+        dat.read_libsvm(args.train),
+        dat.read_libsvm(args.test),
         args.repeats,
         base_seed=args.seed,
         gamma=args.gamma,
@@ -234,8 +244,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_cv(args) -> int:
     grid = pipeline.CvGrid(gammas=args.gammas, etas=args.etas, lambdas=args.lambdas, folds=args.folds)
-    stream = dat.DatasetStream.from_file(args.data)
-    best, results = pipeline.cross_validate(args.algo, args.B, grid, stream)
+    best, results = pipeline.cross_validate(args.algo, args.B, grid, dat.read_libsvm(args.data))
     for params, acc in results:
         shown = " ".join(f"{k}={v:g}" for k, v in params.items())
         print(f"{shown}: {acc:.6f}")

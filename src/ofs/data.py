@@ -94,39 +94,17 @@ def write_libsvm(examples: Iterable[SparseExample], path) -> None:
 
 
 class DatasetStream:
-    """Re-iterable ordered source of examples.
+    """Replays a stream: every iteration calls ``factory`` for a fresh iterator.
 
-    Iterating twice yields the identical sequence; the fold splitter and
-    repeated sweeps rely on that. ``dim`` is the declared dimensionality
-    when known (synthetic data knows it, files usually do not) and ``path``
-    is set for file-backed streams.
+    A stream is any iterable of :class:`SparseExample`. This wrapper makes a
+    synthetic one re-readable, giving the identical sequence each time.
     """
 
-    def __init__(
-        self,
-        factory: Callable[[], Iterator[SparseExample]],
-        *,
-        dim: Optional[int] = None,
-        path: Optional[str] = None,
-    ):
+    def __init__(self, factory: Callable[[], Iterator[SparseExample]]):
         self._factory = factory
-        self.dim = dim
-        self.path = path
 
     def __iter__(self) -> Iterator[SparseExample]:
         return self._factory()
-
-    @classmethod
-    def from_file(cls, path, dim: Optional[int] = None) -> "DatasetStream":
-        return cls(lambda: read_libsvm(path), dim=dim, path=str(path))
-
-    @classmethod
-    def from_examples(cls, examples: Iterable[SparseExample], dim: Optional[int] = None) -> "DatasetStream":
-        materialized = list(examples)
-        return cls(lambda: iter(materialized), dim=dim)
-
-    def materialize(self) -> List[SparseExample]:
-        return list(self)
 
 
 @dataclass(frozen=True)
@@ -189,10 +167,10 @@ class SyntheticGenerator:
         self._gaps = self.informative - np.arange(spec.idim, dtype=np.int64)
 
     def train_stream(self) -> DatasetStream:
-        return DatasetStream(lambda: self._stream(1, self.spec.n_train), dim=self.spec.dim)
+        return DatasetStream(lambda: self._stream(1, self.spec.n_train))
 
     def test_stream(self) -> DatasetStream:
-        return DatasetStream(lambda: self._stream(2, self.spec.n_test), dim=self.spec.dim)
+        return DatasetStream(lambda: self._stream(2, self.spec.n_test))
 
     def _stream(self, key: int, n: int) -> Iterator[SparseExample]:
         """Build each chunk of rows in one (c, idim + ndim) index/value pair.

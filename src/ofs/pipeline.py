@@ -18,7 +18,6 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .core import SparseExample
-from .data import DatasetStream, LibsvmFormatError
 from .learners import BUDGETED, OnlineLearner, _check_hyperparam, learner_class, make_learner
 
 CSV_HEADER = "algo,B,seed,accuracy,mistakes,sparsity_pct,train_s,total_s"
@@ -72,13 +71,13 @@ def format_report_table(reports: Sequence[RunReport]) -> str:
     return "\n".join(lines)
 
 
-def train_stream(learner: OnlineLearner, stream: Iterable, *, threads: int = 1) -> TrainResult:
+def train_stream(learner: OnlineLearner, stream: Iterable[SparseExample], *, threads: int = 1) -> TrainResult:
     """Drive one pass over ``stream``, one update per example, in order.
 
-    A mistake is counted when the pre-update prediction differs from the
-    label. ``train_seconds`` covers first example to last update. A parse
-    error carries the number of examples trained before it as
-    ``example_ordinal``.
+    ``stream`` is any iterable of examples, such as a one-shot generator
+    from :func:`~ofs.data.read_libsvm`, and is read once. A mistake is
+    counted when the pre-update prediction differs from the label.
+    ``train_seconds`` covers first example to last update.
 
     ``threads`` exists only because the benchmark in ``perfbench/`` still
     passes ``threads=1``; any other value raises ``ValueError``. It goes
@@ -90,22 +89,18 @@ def train_stream(learner: OnlineLearner, stream: Iterable, *, threads: int = 1) 
     count = 0
     t0 = None
     update = learner.update
-    try:
-        for ex in stream:
-            if t0 is None:
-                t0 = time.perf_counter()
-            margin = update(ex)
-            if (1 if margin >= 0.0 else -1) != ex.label:
-                mistakes += 1
-            count += 1
-    except LibsvmFormatError as err:
-        err.example_ordinal = count
-        raise
+    for ex in stream:
+        if t0 is None:
+            t0 = time.perf_counter()
+        margin = update(ex)
+        if (1 if margin >= 0.0 else -1) != ex.label:
+            mistakes += 1
+        count += 1
     elapsed = 0.0 if t0 is None else time.perf_counter() - t0
     return TrainResult(mistakes, count, elapsed)
 
 
-def evaluate(model: OnlineLearner, stream: Iterable) -> float:
+def evaluate(model: OnlineLearner, stream: Iterable[SparseExample]) -> float:
     """Accuracy of ``model`` on ``stream``; the model is not mutated."""
     correct = 0
     total = 0
@@ -153,7 +148,7 @@ def cross_validate(
     algo: str,
     budget: Optional[int],
     grid: CvGrid,
-    stream: Iterable,
+    stream: Iterable[SparseExample],
 ) -> Tuple[Dict[str, float], List[Tuple[Dict[str, float], float]]]:
     """Mean validation accuracy per grid point over contiguous-block folds.
 
@@ -193,7 +188,7 @@ class _RowCache:
     through ``np.memmap``; labels and row offsets stay in memory.
     """
 
-    def __init__(self, stream: DatasetStream, limit: int, spill_dir: str, name: str):
+    def __init__(self, stream: Iterable[SparseExample], limit: int, spill_dir: str, name: str):
         labels, indptr = array("b"), array("q", [0])
         held: List[SparseExample] = []
         spill: Optional[List[str]] = None
@@ -250,8 +245,8 @@ def _spill_rows(rows: List[SparseExample], paths: List[str]) -> None:
 def benchmark_sweep(
     algos: Sequence[str],
     budgets: Sequence[int],
-    train: DatasetStream,
-    test: DatasetStream,
+    train: Iterable[SparseExample],
+    test: Iterable[SparseExample],
     repeats: int,
     *,
     base_seed: int = 0,
@@ -263,22 +258,21 @@ def benchmark_sweep(
 ) -> List[RunReport]:
     """Train and evaluate every (algo, budget, repeat) combination.
 
-    Each stream is parsed once into a :class:`_RowCache`; beyond
-    ``max_in_memory`` rows the cache spills to a temporary directory that
-    is removed on return, whether the stream came from a file or from memory.
-    A malformed line fails while the caches are built, before any row
-    trains. Learners without a budget train once per repeat and report
-    B = 0. Repeat r walks the training rows in the order of
+    ``train`` and ``test`` are any iterables of examples, each read once
+    into a :class:`_RowCache`; beyond ``max_in_memory`` rows the cache
+    spills to a temporary directory that is removed on return. A malformed
+    line fails while the caches are built, before any row trains. Learners
+    without a budget train once per repeat and report B = 0. Repeat r walks
+    the training rows in the order of
     ``np.random.default_rng(base_seed + r).permutation(n)``, shared by every
     algorithm and budget in that repeat so comparisons are paired. Sparsity
-    is measured against the declared dimensionality when available, else
-    the largest dimension seen.
+    is measured against ``dim``, the one place the dimensionality is
+    declared, or against the learner's own dimension if that is larger.
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
     for algo in algos:
         learner_class(algo)  # an unknown name fails before any input is read
-    declared = dim if dim is not None else train.dim
     reports: List[RunReport] = []
     with tempfile.TemporaryDirectory(prefix="ofs-sweep-") as tmp:
         train_rows = _RowCache(train, max_in_memory, tmp, "train")
@@ -293,7 +287,7 @@ def benchmark_sweep(
                     tr = train_stream(learner, train_rows.rows(order))
                     accuracy = evaluate(learner, test_rows.rows())
                     total = time.perf_counter() - started
-                    d = max(int(declared or 0), len(learner.weights))
+                    d = max(dim or 0, len(learner.weights))
                     nnz = learner.nonzero_count()
                     sparsity = 100.0 * (1.0 - nnz / d) if d else 0.0
                     reports.append(

@@ -14,7 +14,7 @@ import pytest
 
 from ofs import pipeline
 from ofs.core import SparseExample, sparse_dot
-from ofs.data import DatasetStream, SyntheticSpec, generate_synthetic, write_libsvm
+from ofs.data import SyntheticSpec, generate_synthetic, read_libsvm, write_libsvm
 from ofs.learners import make_learner, load_model, save_model
 from ofs.pipeline import CvGrid, benchmark_sweep, cross_validate, evaluate, train_stream
 
@@ -280,8 +280,10 @@ def test_loader_equivalence(tmp_path, monkeypatch):
     train, test, _ = generate_synthetic(spec)
     write_libsvm(train, tmp_path / "train.svm")
     write_libsvm(test, tmp_path / "test.svm")
-    train = DatasetStream.from_file(tmp_path / "train.svm", dim=spec.dim)
-    test = DatasetStream.from_file(tmp_path / "test.svm", dim=spec.dim)
+
+    def sweep(**kwargs):
+        train, test = read_libsvm(tmp_path / "train.svm"), read_libsvm(tmp_path / "test.svm")
+        return benchmark_sweep(["sofs", "pet"], [30], train, test, repeats=5, dim=spec.dim, **kwargs)
 
     mapped = []
     cache = pipeline._RowCache
@@ -292,8 +294,8 @@ def test_loader_equivalence(tmp_path, monkeypatch):
         return built
 
     monkeypatch.setattr(pipeline, "_RowCache", spying)
-    in_memory = benchmark_sweep(["sofs", "pet"], [30], train, test, repeats=5)
-    spilled = benchmark_sweep(["sofs", "pet"], [30], train, test, repeats=5, max_in_memory=499)
+    in_memory = sweep()
+    spilled = sweep(max_in_memory=499)
     assert mapped == [False, False, True, True]  # both caches spilled in the second sweep
     assert len(in_memory) == len(spilled) == 10
     for a, b in zip(in_memory, spilled):

@@ -1,9 +1,11 @@
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from ofs import data, learners, pipeline
 from ofs.cli import main
 from ofs.data import read_libsvm
 
@@ -15,6 +17,31 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def small_inputs(tmp_path):
+    """Two small libsvm files, every line distinct, and an ``ogd`` model."""
+    paths = {"data": tmp_path / "d.svm", "test": tmp_path / "t.svm", "model": tmp_path / "d.model"}
+    for name, n, offset in (("data", 12, 0), ("test", 8, 100)):
+        rows = [f"{'+1' if i % 2 else '-1'} {i % 5 + 1}:{offset + i}.5 {i % 5 + 7}:0.25\n" for i in range(n)]
+        paths[name].write_text("".join(rows))
+    learners.save_model(learners.make_learner("ogd"), paths["model"])
+    return {name: str(path) for name, path in paths.items()}
+
+
+def with_paths(line, paths):
+    """Split ``line`` into argv, replacing each upper-case word with its path."""
+    return [paths[arg.lower()] if arg.isalpha() and arg.isupper() else arg for arg in line.split()]
+
+
+@pytest.fixture()
+def spy(monkeypatch):
+    """Names of the input reader and the pipeline entry points, as they are called."""
+    calls = []
+    for owner, name in ((data, "read_libsvm"), (pipeline, "train_stream"), (pipeline, "benchmark_sweep")):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, _name=name, _real=real, **k: calls.append(_name) or _real(*a, **k))
+    return calls
 
 
 @pytest.fixture()
@@ -122,6 +149,100 @@ class TestUsageErrors:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert message in proc.stderr
+
+
+    @pytest.mark.parametrize(
+        "line,flag",
+        [
+            ("train --algo ogd --data DATA --model OUT", "--model"),
+            ("predict --model MODEL --data DATA --out OUT", "--out"),
+            ("sweep --algos ogd --B 1 --train DATA --test TEST --csv OUT", "--csv"),
+        ],
+        ids=["train", "predict", "sweep"],
+    )
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    def test_unusable_output_path_fails_before_any_input(self, tmp_path, capsys, spy, line, flag, where):
+        paths = small_inputs(tmp_path)
+        paths["out"] = str(tmp_path / "absent" / "out") if where == "missing-directory" else str(tmp_path)
+        with pytest.raises(SystemExit) as info:
+            main(with_paths(line, paths))
+        out, err = capsys.readouterr()
+        assert info.value.code == 2
+        assert out == ""
+        if where == "missing-directory":
+            assert f"argument {flag}: no such directory: {tmp_path / 'absent'}" in err
+        else:
+            assert f"argument {flag}: is a directory: {tmp_path}" in err
+        assert spy == []
+
+    @pytest.mark.parametrize(
+        "line,flag",
+        [
+            ("train --algo ogd --data DIR --model OUT", "--data"),
+            ("predict --model MODEL --data DIR", "--data"),
+            ("predict --model DIR --data DATA", "--model"),
+            ("eval --model MODEL --data DIR", "--data"),
+            ("eval --model DIR --data DATA", "--model"),
+            ("eval --model MODEL --data DATA --recovery DIR", "--recovery"),
+            ("sweep --algos ogd --B 1 --train DIR --test TEST", "--train"),
+            ("sweep --algos ogd --B 1 --train DATA --test DIR", "--test"),
+            ("cv --algo ogd --data DIR", "--data"),
+        ],
+        ids=[
+            "train-data", "predict-data", "predict-model", "eval-data", "eval-model",
+            "eval-recovery", "sweep-train", "sweep-test", "cv-data",
+        ],
+    )
+    def test_directory_input_is_a_usage_error(self, tmp_path, capsys, spy, line, flag):
+        paths = small_inputs(tmp_path)
+        paths.update(dir=str(tmp_path), out=str(tmp_path / "out"))
+        with pytest.raises(SystemExit) as info:
+            main(with_paths(line, paths))
+        out, err = capsys.readouterr()
+        assert info.value.code == 2
+        assert out == ""
+        assert f"argument {flag}: is a directory: {tmp_path}" in err
+        assert spy == []
+
+
+class TestOneReader:
+    @pytest.mark.parametrize(
+        "line,inputs",
+        [
+            ("train --algo ogd --data DATA --model OUT", ["data"]),
+            ("eval --model MODEL --data TEST", ["test"]),
+            ("predict --model MODEL --data TEST", ["test"]),
+            ("cv --algo ogd --data DATA --folds 3", ["data"]),
+            ("sweep --algos ogd,arow --B 1 --train DATA --test TEST --repeats 2", ["data", "test"]),
+        ],
+        ids=["train", "eval", "predict", "cv", "sweep"],
+    )
+    def test_each_input_line_parsed_once(self, tmp_path, capsys, monkeypatch, spy, line, inputs):
+        paths = small_inputs(tmp_path)
+        paths["out"] = str(tmp_path / "out")
+        parse = data.parse_libsvm_line
+        parsed = []
+        monkeypatch.setattr(data, "parse_libsvm_line", lambda text, *a: parsed.append(text) or parse(text, *a))
+        code, _, _ = run(capsys, *with_paths(line, paths))
+        assert code == 0
+        want = [row for name in inputs for row in Path(paths[name]).read_text().splitlines(keepends=True)]
+        assert sorted(parsed) == sorted(want)
+        assert spy.count("read_libsvm") == len(inputs)
+
+    def test_predict_reads_a_pipe(self, tmp_path):
+        # only a directory is refused; a non-regular file such as a pipe is read
+        paths = small_inputs(tmp_path)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "ofs.cli", "predict", "--model", paths["model"], "--data", "/dev/stdin"],
+            input=Path(paths["test"]).read_text(),
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["+1"] * 8  # zero weights predict +1 everywhere
 
 
 class TestDataErrors:

@@ -11,7 +11,6 @@ from hypothesis import event, example, given, settings, strategies as st
 
 from ofs.core import SparseExample
 from ofs.data import (
-    DatasetStream,
     LibsvmFormatError,
     SyntheticGenerator,
     SyntheticSpec,
@@ -177,22 +176,6 @@ class TestReadWrite:
         with pytest.raises(LibsvmFormatError) as info:
             list(read_libsvm(path))
         assert info.value.line_no == 3
-
-    def test_stream_is_reiterable(self, tmp_path):
-        path = tmp_path / "d.svm"
-        write_libsvm(self.random_examples(n=10, seed=2), path)
-        stream = DatasetStream.from_file(path)
-        first = [(e.label, e.indices.tolist()) for e in stream]
-        second = [(e.label, e.indices.tolist()) for e in stream]
-        assert first == second
-        assert stream.path == str(path)
-
-    def test_from_examples_materializes(self):
-        examples = self.random_examples(n=5, seed=3)
-        stream = DatasetStream.from_examples(iter(examples), dim=80)
-        assert len(list(stream)) == 5
-        assert len(list(stream)) == 5  # consuming twice works
-        assert stream.dim == 80
 
 
 class TestSyntheticSpec:

@@ -7,7 +7,7 @@ import pytest
 
 from ofs import data, pipeline
 from ofs.core import SparseExample
-from ofs.data import DatasetStream, LibsvmFormatError, SyntheticSpec, generate_synthetic, write_libsvm
+from ofs.data import DatasetStream, LibsvmFormatError, SyntheticSpec, generate_synthetic, read_libsvm, write_libsvm
 from ofs.learners import ArowModel, make_learner
 from ofs.pipeline import (
     CSV_HEADER,
@@ -74,14 +74,13 @@ class TestTrainStream:
         assert len(calls) == len(SEPARABLE)
         assert [id(c) for c in calls] == [id(s) for s in SEPARABLE]
 
-    def test_parse_error_carries_example_ordinal(self, tmp_path):
+    def test_parse_error_carries_line_number(self, tmp_path):
         path = tmp_path / "bad.svm"
         path.write_text("+1 1:1.0\n-1 2:1.0\n+1 3:oops\n")
         m = make_learner("arow")
         with pytest.raises(LibsvmFormatError) as info:
-            train_stream(m, DatasetStream.from_file(path))
+            train_stream(m, read_libsvm(path))
         assert info.value.line_no == 3
-        assert info.value.example_ordinal == 2
 
     def test_learner_error_surfaces_and_leaves_no_thread(self, tmp_path):
         # long enough that a reader running ahead of the learner would fill
@@ -100,7 +99,7 @@ class TestTrainStream:
 
         before = threading.enumerate()
         with pytest.raises(RuntimeError, match="update 7 failed"):
-            train_stream(Failing(), DatasetStream.from_file(path))
+            train_stream(Failing(), read_libsvm(path))
         assert threading.enumerate() == before
 
     @pytest.mark.parametrize("threads", [0, 2])
@@ -214,11 +213,11 @@ class TestSweep:
     def desk_data(self, seed=50):
         spec = SyntheticSpec(n_train=600, n_test=300, dim=300, idim=20, ndim=40, seed=seed)
         train, test, _ = generate_synthetic(spec)
-        return DatasetStream.from_examples(train, dim=300), DatasetStream.from_examples(test, dim=300)
+        return list(train), list(test)
 
     def test_shapes_and_seeds(self):
         train, test = self.desk_data()
-        reports = benchmark_sweep(["sofs", "pet"], [10, 20], train, test, repeats=3, base_seed=100)
+        reports = benchmark_sweep(["sofs", "pet"], [10, 20], train, test, repeats=3, base_seed=100, dim=300)
         assert len(reports) == 12
         assert sorted({r.seed for r in reports}) == [100, 101, 102]
         for r in reports:
@@ -228,7 +227,7 @@ class TestSweep:
 
     def test_dense_baseline_once_per_repeat(self):
         train, test = self.desk_data(seed=53)
-        reports = benchmark_sweep(["sofs", "ogd"], [10, 20, 50], train, test, repeats=2)
+        reports = benchmark_sweep(["sofs", "ogd"], [10, 20, 50], train, test, repeats=2, dim=300)
         ogd = [r for r in reports if r.algo == "ogd"]
         assert len(ogd) == 2
         assert [r.budget for r in ogd] == [0, 0]
@@ -238,8 +237,8 @@ class TestSweep:
 
     def test_deterministic_modulo_timing(self):
         train, test = self.desk_data(seed=51)
-        a = benchmark_sweep(["sofs"], [15], train, test, repeats=2, base_seed=7)
-        b = benchmark_sweep(["sofs"], [15], train, test, repeats=2, base_seed=7)
+        a = benchmark_sweep(["sofs"], [15], train, test, repeats=2, base_seed=7, dim=300)
+        b = benchmark_sweep(["sofs"], [15], train, test, repeats=2, base_seed=7, dim=300)
         for ra, rb in zip(a, b):
             assert (ra.algo, ra.budget, ra.seed, ra.accuracy, ra.mistakes, ra.sparsity_pct) == (
                 rb.algo,
@@ -255,7 +254,7 @@ class TestSweep:
         # same algorithm twice in one sweep must see the same stream order,
         # giving identical rows apart from timing
         train, test = self.desk_data(seed=52)
-        reports = benchmark_sweep(["sofs", "sofs"], [15], train, test, repeats=1)
+        reports = benchmark_sweep(["sofs", "sofs"], [15], train, test, repeats=1, dim=300)
         assert reports[0].mistakes == reports[1].mistakes
         assert reports[0].accuracy == reports[1].accuracy
         assert reports[0].selected == reports[1].selected
@@ -264,25 +263,20 @@ class TestSweep:
         # ndim=0 caps the touchable coordinates at idim, far below B
         spec = SyntheticSpec(n_train=200, n_test=50, dim=300, idim=20, ndim=0, seed=53)
         train, test, _ = generate_synthetic(spec)
-        train = DatasetStream.from_examples(train, dim=300)
-        test = DatasetStream.from_examples(test, dim=300)
-        (r,) = benchmark_sweep(["sofs"], [250], train, test, repeats=1)
+        (r,) = benchmark_sweep(["sofs"], [250], list(train), list(test), repeats=1, dim=300)
         nnz = 300 * (1.0 - r.sparsity_pct / 100.0)
         assert nnz <= 20 + 1e-9
 
     def test_spill_to_disk_matches_in_memory(self, tmp_path):
-        from ofs.data import write_libsvm
-
         spec = SyntheticSpec(n_train=300, n_test=100, dim=200, idim=10, ndim=20, seed=54)
         train, test, _ = generate_synthetic(spec)
         path = tmp_path / "train.svm.gz"
         write_libsvm(train, path)
-        file_stream = DatasetStream.from_file(path, dim=200)
-        test_stream = DatasetStream.from_examples(test, dim=200)
+        test = list(test)
 
-        mem = benchmark_sweep(["sofs"], [10], file_stream, test_stream, repeats=2)
+        mem = benchmark_sweep(["sofs"], [10], read_libsvm(path), test, repeats=2, dim=200)
         disk = benchmark_sweep(
-            ["sofs"], [10], file_stream, test_stream, repeats=2, max_in_memory=10
+            ["sofs"], [10], read_libsvm(path), test, repeats=2, dim=200, max_in_memory=10
         )
         for ra, rb in zip(mem, disk):
             assert ra.accuracy == rb.accuracy
@@ -290,14 +284,14 @@ class TestSweep:
             assert ra.selected == rb.selected
 
     def test_oversized_in_memory_stream_spills(self, monkeypatch):
-        # the spill writes its own files, so a stream without a path spills too
+        # the spill writes its own files, so an in-memory list spills too
         train, test = self.desk_data(seed=55)
         args = (["sofs", "pet", "ogd"], [10], train, test)
-        mem = benchmark_sweep(*args, repeats=2)
+        mem = benchmark_sweep(*args, repeats=2, dim=300)
         spill_rows = pipeline._spill_rows
         spills = []
         monkeypatch.setattr(pipeline, "_spill_rows", lambda rows, paths: spills.append(paths) or spill_rows(rows, paths))
-        spilled = benchmark_sweep(*args, repeats=2, max_in_memory=10)
+        spilled = benchmark_sweep(*args, repeats=2, dim=300, max_in_memory=10)
         assert any(paths[0].endswith("train.idx") for paths in spills)
         assert [(r.accuracy, r.mistakes, r.selected) for r in spilled] == [
             (r.accuracy, r.mistakes, r.selected) for r in mem
@@ -306,11 +300,10 @@ class TestSweep:
     def test_accuracy_rises_with_budget_until_idim(self):
         spec = SyntheticSpec(n_train=2000, n_test=500, dim=500, idim=40, ndim=80, seed=56)
         train, test, _ = generate_synthetic(spec)
-        train = DatasetStream.from_examples(train, dim=500)
-        test = DatasetStream.from_examples(test, dim=500)
+        train, test = list(train), list(test)
         acc = {}
         for budget in (10, 20, 40, 80):
-            (r,) = benchmark_sweep(["sofs"], [budget], train, test, repeats=1)
+            (r,) = benchmark_sweep(["sofs"], [budget], train, test, repeats=1, dim=500)
             acc[budget] = r.accuracy
         assert acc[20] >= acc[10] - 0.01
         assert acc[40] >= acc[20] - 0.01
@@ -318,7 +311,7 @@ class TestSweep:
 
     def test_csv_output(self, tmp_path):
         train, test = self.desk_data(seed=57)
-        reports = benchmark_sweep(["pet"], [10], train, test, repeats=2)
+        reports = benchmark_sweep(["pet"], [10], train, test, repeats=2, dim=300)
         path = tmp_path / "out.csv"
         write_reports_csv(reports, path)
         lines = path.read_text().splitlines()
@@ -352,7 +345,28 @@ class TestSweep:
     def test_repeats_validated(self):
         train, test = self.desk_data(seed=58)
         with pytest.raises(ValueError):
-            benchmark_sweep(["sofs"], [10], train, test, repeats=0)
+            benchmark_sweep(["sofs"], [10], train, test, repeats=0, dim=300)
+
+    @pytest.mark.parametrize("kind", [list, iter], ids=["list", "generator"])
+    def test_any_iterable_accepted(self, kind):
+        # a one-shot iterator is enough: each stream is read once, into the row cache
+        train, test = self.desk_data(seed=59)
+        got = benchmark_sweep(["sofs", "ogd"], [10], kind(train), kind(test), repeats=2)
+        replayed = DatasetStream(lambda: iter(train)), DatasetStream(lambda: iter(test))
+        want = benchmark_sweep(["sofs", "ogd"], [10], *replayed, repeats=2)
+        assert _row_fields(got) == _row_fields(want)
+
+    def test_dim_sets_sparsity_denominator(self):
+        train, test = self.desk_data(seed=59)
+        seen = 1 + max(int(ex.indices.max()) for ex in train)
+        sparsity = {}
+        for dim in (None, 5, 10_000):
+            (r,) = benchmark_sweep(["sofs"], [10], train, test, repeats=1, dim=dim)
+            assert len(r.selected) == 10
+            sparsity[dim] = r.sparsity_pct
+        assert sparsity[10_000] == 100.0 * (1.0 - 10 / 10_000)
+        assert sparsity[None] == 100.0 * (1.0 - 10 / seen)
+        assert sparsity[5] == sparsity[None]  # below the learner's own dimension, dim is ignored
 
 
 def _row_fields(reports):
@@ -370,14 +384,16 @@ class TestSweepCache:
         train, test, _ = generate_synthetic(spec)
         write_libsvm(train, tmp_path / "train.svm")
         write_libsvm(test, tmp_path / "test.svm")
-        return (
-            DatasetStream.from_file(tmp_path / "train.svm", dim=200),
-            DatasetStream.from_file(tmp_path / "test.svm", dim=200),
-        )
+        return tmp_path / "train.svm", tmp_path / "test.svm"
+
+    def sweep(self, files, algos, budgets, **kwargs):
+        """``benchmark_sweep`` over fresh readers of ``files``."""
+        train, test = files
+        return benchmark_sweep(algos, budgets, read_libsvm(train), read_libsvm(test), dim=200, **kwargs)
 
     @pytest.mark.parametrize("max_in_memory", [1_000_000, 10])
     def test_each_file_parsed_once(self, tmp_path, monkeypatch, max_in_memory):
-        train, test = self.files(tmp_path)
+        files = self.files(tmp_path)
         parse = data.parse_libsvm_line
         calls = []
 
@@ -386,34 +402,32 @@ class TestSweepCache:
             return parse(*args)
 
         monkeypatch.setattr(data, "parse_libsvm_line", counting)
-        reports = benchmark_sweep(
-            ["sofs", "ogd"], [10, 20], train, test, repeats=3, max_in_memory=max_in_memory
-        )
+        reports = self.sweep(files, ["sofs", "ogd"], [10, 20], repeats=3, max_in_memory=max_in_memory)
         assert len(reports) == 9  # three rows per repeat
         assert len(calls) == self.N_TRAIN + self.N_TEST
 
     def test_spilled_test_file_gives_identical_rows(self, tmp_path):
-        train, test = self.files(tmp_path, seed=61)
-        args = (["sofs", "pet", "ogd"], [5, 15], train, test)
-        mem = benchmark_sweep(*args, repeats=2, base_seed=3)
-        spilled = benchmark_sweep(*args, repeats=2, base_seed=3, max_in_memory=self.N_TEST - 1)
+        files = self.files(tmp_path, seed=61)
+        args = (files, ["sofs", "pet", "ogd"], [5, 15])
+        mem = self.sweep(*args, repeats=2, base_seed=3)
+        spilled = self.sweep(*args, repeats=2, base_seed=3, max_in_memory=self.N_TEST - 1)
         assert _row_fields(spilled) == _row_fields(mem)
 
     def test_malformed_test_line_fails_before_training(self, tmp_path, monkeypatch):
-        train, test = self.files(tmp_path)
-        with open(test.path, "a", encoding="ascii") as fh:
+        files = self.files(tmp_path)
+        with open(files[1], "a", encoding="ascii") as fh:
             fh.write("+1 3:oops\n")
         trained = []
         monkeypatch.setattr(pipeline, "train_stream", lambda *a, **k: trained.append(a))
         with pytest.raises(LibsvmFormatError, match=f"^line {self.N_TEST + 1}: "):
-            benchmark_sweep(["sofs"], [10], train, test, repeats=2)
+            self.sweep(files, ["sofs"], [10], repeats=2)
         assert trained == []
 
     @pytest.mark.parametrize("malformed", [False, True])
     def test_spill_directory_removed(self, tmp_path, monkeypatch, malformed):
-        train, test = self.files(tmp_path)
+        files = self.files(tmp_path)
         if malformed:
-            with open(test.path, "a", encoding="ascii") as fh:
+            with open(files[1], "a", encoding="ascii") as fh:
                 fh.write("-1 4:1.0 2:1.0\n")
         scratch = tmp_path / "scratch"
         scratch.mkdir()
@@ -429,10 +443,10 @@ class TestSweepCache:
         monkeypatch.setattr(pipeline, "_RowCache", spying)
         if malformed:
             with pytest.raises(LibsvmFormatError):
-                benchmark_sweep(["sofs"], [10], train, test, repeats=1, max_in_memory=10)
+                self.sweep(files, ["sofs"], [10], repeats=1, max_in_memory=10)
             assert spilled == [True]  # the train cache spilled, then the test file failed
         else:
-            benchmark_sweep(["sofs"], [10], train, test, repeats=1, max_in_memory=10)
+            self.sweep(files, ["sofs"], [10], repeats=1, max_in_memory=10)
             assert spilled == [True, True]
         assert os.listdir(scratch) == []
 
@@ -442,7 +456,7 @@ class TestRowCache:
     def test_rows_round_trip(self, tmp_path, limit, mapped):
         rng = np.random.default_rng(62)
         examples = random_stream(rng, 50, 30) + [SparseExample(-1, np.empty(0, np.int64), np.empty(0))]
-        cache = _RowCache(DatasetStream.from_examples(examples), limit, str(tmp_path), "t")
+        cache = _RowCache(examples, limit, str(tmp_path), "t")
         assert len(cache) == len(examples)
         assert isinstance(cache.indices, np.memmap) == mapped
         order = rng.permutation(len(examples))
@@ -455,5 +469,5 @@ class TestRowCache:
 
     def test_only_empty_rows_spill(self, tmp_path):
         empty = [SparseExample(1, np.empty(0, np.int64), np.empty(0))] * 3
-        cache = _RowCache(DatasetStream.from_examples(empty), 1, str(tmp_path), "t")
+        cache = _RowCache(empty, 1, str(tmp_path), "t")
         assert [(ex.label, ex.nnz) for ex in cache.rows()] == [(1, 0)] * 3
