@@ -46,6 +46,16 @@ def _output_file(path: str) -> str:
     return path
 
 
+def _output_dir(path: str) -> str:
+    """A directory, or a path ``os.makedirs`` can create: its nearest existing ancestor is one."""
+    probe = path
+    while not os.path.exists(probe):
+        probe = os.path.dirname(probe) or "."
+    if not os.path.isdir(probe):
+        raise argparse.ArgumentTypeError(f"not a directory: {probe}")
+    return path
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="ofs",
@@ -60,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--train", type=int, required=True, help="training examples")
     g.add_argument("--test", type=int, required=True, help="test examples")
     g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--out", required=True, help="output directory")
+    g.add_argument("--out", type=_output_dir, required=True, help="output directory, created if missing")
     g.add_argument("--gz", action="store_true", help="gzip the data files")
     g.set_defaults(func=_cmd_generate)
 

@@ -245,8 +245,9 @@ class PetModel(FirstOrderModel):
         y = ex.label
         if (1 if margin >= 0.0 else -1) != y:
             a = self.w.array
-            a[ex.indices] = wi + self.eta * y * ex.values
-            dropped = self.tracker.select(ex.indices)
+            new_w = wi + self.eta * y * ex.values
+            a[ex.indices] = new_w
+            dropped = self.tracker.select(ex.indices, -np.abs(new_w))
             if len(dropped):
                 a[dropped] = 0.0
         return margin
@@ -527,5 +528,6 @@ def load_model(path) -> OnlineLearner:
         model.sigma.array[j] = s
     if isinstance(model, (SofsModel, PetModel)):
         # rebuild the kept set by the learner's own rule over the listed features
-        model.weights.array[model.tracker.select(keys)] = 0.0
+        tracker = model.tracker
+        model.weights.array[tracker.select(keys, tracker.score(keys))] = 0.0
     return model

@@ -271,6 +271,8 @@ def benchmark_sweep(
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
+    if max_in_memory < 0:
+        raise ValueError("max_in_memory must be >= 0")
     for algo in algos:
         learner_class(algo)  # an unknown name fails before any input is read
     reports: List[RunReport] = []

@@ -2,13 +2,14 @@
 
 Scores are smaller-is-better and ties go to the lower index: ``sofs``
 scores a feature by its covariance σ, ``pet`` by -|w|. The kept set is a
-dense bool mask plus an index buffer of capacity B, with a cached upper
-bound on the worst kept score. An update reads scores only at kept and
-touched features, never over all d. Usually that is O(m) numpy work:
-touched kept features need nothing, and touched outsiders worse than the
-bound are dropped at once. Only an outsider reaching the bound costs one
-partition over the B + k candidates, which also refreshes the bound; while
-the set fills, outsiders are appended.
+dense bool mask plus the array of kept indices, so memory grows with the
+kept set, not with B, and a cached upper bound on the worst kept score,
++inf while the set fills. An update reads scores only at kept and touched
+features, never over all d. Usually that is O(m) numpy work: touched kept
+features need nothing, and touched outsiders worse than the bound are
+dropped at once. Only an outsider reaching the bound costs one pass over
+the kept and new candidates: all are kept while they fit in B, else one
+partition picks B of them and refreshes the bound.
 
 Untouched outsiders are never reconsidered. That is exact when kept scores
 only improve (σ), or when outsiders score the worst possible (-|w| of a
@@ -38,10 +39,10 @@ class TopBTracker:
 
     ``score`` maps an index array to the current scores of those features;
     the tracker calls it for kept features only when the kept set may
-    change.
+    change. Any capacity >= 1 is accepted: nothing is allocated per slot.
     """
 
-    __slots__ = ("capacity", "score", "_mask", "_keys", "_n", "_bound")
+    __slots__ = ("capacity", "score", "_mask", "_keys", "_bound")
 
     def __init__(self, capacity: int, score: Callable[[np.ndarray], np.ndarray]):
         if capacity < 1:
@@ -49,48 +50,40 @@ class TopBTracker:
         self.capacity = int(capacity)
         self.score = score
         self._mask = np.zeros(0, dtype=bool)
-        self._keys = np.empty(self.capacity, dtype=np.int64)
-        self._n = 0
-        # at least the worst kept score once full; None while filling
-        self._bound: Optional[float] = None
+        self._keys = np.zeros(0, dtype=np.int64)
+        # at least the worst kept score once full; +inf while the set fills
+        self._bound = np.inf
 
     def __len__(self) -> int:
-        return self._n
+        return len(self._keys)
 
     def indices(self) -> List[int]:
-        return self._keys[: self._n].tolist()
+        return self._keys.tolist()
 
-    def select(self, idx: np.ndarray, scores: Optional[np.ndarray] = None) -> np.ndarray:
+    def select(self, idx: np.ndarray, scores: np.ndarray) -> np.ndarray:
         """Keep the B first in (score, index) order among kept and ``idx``.
 
         ``idx`` holds strictly increasing feature indices and ``scores``
-        their current scores, read through ``score`` when not given.
-        Returns the indices that are not kept after the call, among ``idx``
-        and the features kept before it: the caller zeroes their weights.
+        their current scores. Returns the indices that are not kept after
+        the call, among ``idx`` and the features kept before it: the caller
+        zeroes their weights.
         """
         if len(idx) == 0:
             return idx
-        if scores is None:
-            scores = self.score(idx)
         if idx[-1] >= len(self._mask):
-            self._grow(int(idx[-1]) + 1)
+            mask = np.zeros(grown_capacity(int(idx[-1]) + 1), dtype=bool)
+            mask[: len(self._mask)] = self._mask
+            self._mask = mask
         inside = self._mask[idx]
-        bound = self._bound
-        if bound is not None:
-            worse = scores > bound
-            if np.count_nonzero(worse != inside) == len(idx):
-                # every outsider is worse than the bound, no kept score rose above it
-                return idx[worse]
-            if inside.any():
-                bound = self._bound = max(bound, float(scores[inside].max()))
+        worse = scores > self._bound
+        if np.count_nonzero(worse != inside) == len(idx):
+            # every outsider is worse than the bound, no kept score rose above it
+            return idx[worse]
+        if inside.any():
+            self._bound = max(self._bound, float(scores[inside].max()))
         out = ~inside
         new, s = idx[out], scores[out]
-        if bound is None:
-            if self._n + len(new) <= self.capacity:
-                self._append(new)
-                return new[:0]
-            return self._reselect(new, s)
-        near = s <= bound
+        near = s <= self._bound
         if not near.any():
             return new
         return np.concatenate((new[~near], self._reselect(new[near], s[near])))
@@ -112,24 +105,14 @@ class TopBTracker:
             return Outcome.ADMITTED_EVICTING, int(dropped[0])
         return Outcome.ADMITTED, None
 
-    def _grow(self, n: int) -> None:
-        mask = np.zeros(grown_capacity(n), dtype=bool)
-        mask[: len(self._mask)] = self._mask
-        self._mask = mask
-
-    def _append(self, new: np.ndarray) -> None:
-        n = self._n + len(new)
-        self._keys[self._n : n] = new
-        self._mask[new] = True
-        self._n = n
-        if n == self.capacity:
-            self._bound = float(self.score(self._keys).max())
-
     def _reselect(self, new: np.ndarray, s: np.ndarray) -> np.ndarray:
-        keys = self._keys[: self._n]
-        cand = np.concatenate((keys, new))
-        cs = np.concatenate((self.score(keys), s))
+        cand = np.concatenate((self._keys, new))
         b = self.capacity
+        if len(cand) < b:
+            self._mask[new] = True
+            self._keys = cand
+            return new[:0]
+        cs = np.concatenate((self.score(self._keys), s))
         cut = np.partition(cs, b - 1)[b - 1]
         keep = cs < cut
         ties = np.flatnonzero(cs == cut)
@@ -138,10 +121,9 @@ class TopBTracker:
             ties = ties[np.argpartition(cand[ties], short - 1)[:short]]
         keep[ties] = True
         self._mask[cand] = keep
-        self._keys[:] = cand[keep]
-        self._n = b
+        self._keys = cand[keep]
         self._bound = float(cut)
         return cand[~keep]
 
     def __repr__(self) -> str:
-        return f"TopBTracker(capacity={self.capacity}, size={self._n})"
+        return f"TopBTracker(capacity={self.capacity}, size={len(self._keys)})"

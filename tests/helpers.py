@@ -182,7 +182,7 @@ class PlainPet(PetModel):
         if (1 if margin >= 0.0 else -1) != y:
             a = self.w.array
             a[ex.indices] += self.eta * y * ex.values
-            dropped = self.tracker.select(ex.indices)
+            dropped = self.tracker.select(ex.indices, -np.abs(a[ex.indices]))
             if len(dropped):
                 a[dropped] = 0.0
         return margin

@@ -175,6 +175,22 @@ class TestUsageErrors:
             assert f"argument {flag}: is a directory: {tmp_path}" in err
         assert spy == []
 
+    @pytest.mark.parametrize("where", ["file", "under-file"])
+    def test_generate_out_that_is_not_a_directory_fails_before_generating(self, tmp_path, capsys, monkeypatch, where):
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        generated = []
+        monkeypatch.setattr(data, "generate_synthetic", lambda *a, **k: generated.append(a))
+        out = taken if where == "file" else taken / "sub"
+        with pytest.raises(SystemExit) as info:
+            main(["generate", "--dim", "10", "--idim", "2", "--ndim", "2", "--train", "3", "--test", "3", "--out", str(out)])
+        stdout, err = capsys.readouterr()
+        assert info.value.code == 2
+        assert stdout == ""
+        assert f"argument --out: not a directory: {taken}" in err
+        assert generated == []
+        assert taken.read_text() == "kept\n"
+
     @pytest.mark.parametrize(
         "line,flag",
         [
@@ -203,6 +219,27 @@ class TestUsageErrors:
         assert out == ""
         assert f"argument {flag}: is a directory: {tmp_path}" in err
         assert spy == []
+
+
+class TestAnyBudget:
+    @pytest.mark.parametrize("algo", ["sofs", "pet"])
+    def test_budget_beyond_memory_trains_and_evaluates(self, tmp_path, algo):
+        # the tracker holds only the features it keeps, never one slot per unit of B
+        data = tmp_path / "d.svm"
+        data.write_text("+1 1:1 3:0.5\n-1 2:1\n")
+        model = tmp_path / "m.model"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+        for argv in (
+            ["train", "--algo", algo, "--B", "10000000000000", "--data", str(data), "--model", str(model)],
+            ["eval", "--model", str(model), "--data", str(data)],
+        ):
+            proc = subprocess.run(
+                [sys.executable, "-m", "ofs.cli", *argv], capture_output=True, text=True, env=env, timeout=120
+            )
+            assert proc.returncode == 0, proc.stderr
+            assert "Traceback" not in proc.stderr
+        assert model.read_text().split()[4] == "10000000000000"
+        assert proc.stdout.startswith("accuracy ")
 
 
 class TestOneReader:
@@ -417,6 +454,15 @@ class TestGenerate:
         assert code == 0
         assert (tmp_path / "train.svm.gz").exists()
         assert len(list(read_libsvm(tmp_path / "train.svm.gz"))) == 50
+
+    def test_creates_missing_directories(self, tmp_path, capsys):
+        out = tmp_path / "a" / "b"
+        code, _, _ = run(
+            capsys,
+            "generate", "--dim", "100", "--idim", "5", "--ndim", "10", "--train", "5", "--test", "5", "--out", str(out),
+        )
+        assert code == 0
+        assert sorted(p.name for p in out.iterdir()) == ["informative.txt", "test.svm", "train.svm"]
 
     def test_invalid_spec_exits_one(self, tmp_path, capsys):
         code, _, err = run(

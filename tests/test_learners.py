@@ -629,6 +629,22 @@ class TestPersistence:
         path.write_text("OFSMODEL v1 pet 4 2 eta=0.2\n1 -0.5\n")
         assert load_model(path).tracker.indices() == [1]
 
+    @pytest.mark.parametrize(
+        "header,body",
+        [("sofs 4 10000000000000 gamma=1.0", "1 0.5 0.25\n"), ("pet 4 10000000000000 eta=0.2", "1 0.5\n")],
+        ids=["sofs", "pet"],
+    )
+    def test_any_budget_loads(self, tmp_path, header, body):
+        # the kept set holds only the features it keeps, so a budget far
+        # beyond memory costs nothing until that many features are kept
+        path = tmp_path / "model.txt"
+        path.write_text(f"OFSMODEL v1 {header}\n{body}")
+        m = load_model(path)
+        assert m.budget == 10**13
+        assert m.tracker.indices() == [1]
+        assert m.raw_margin(ex(1, (1, 2.0), (3, 1.0))) == 1.0
+        assert m.predict(ex(-1, (1, -2.0))) == -1
+
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_any_loaded_model_predicts_finite_margins(self, data):

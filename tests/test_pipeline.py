@@ -347,6 +347,11 @@ class TestSweep:
         with pytest.raises(ValueError):
             benchmark_sweep(["sofs"], [10], train, test, repeats=0, dim=300)
 
+    def test_max_in_memory_validated(self):
+        train, test = self.desk_data(seed=58)
+        with pytest.raises(ValueError, match="max_in_memory must be >= 0"):
+            benchmark_sweep(["sofs"], [10], train, test, repeats=1, dim=300, max_in_memory=-5)
+
     @pytest.mark.parametrize("kind", [list, iter], ids=["list", "generator"])
     def test_any_iterable_accepted(self, kind):
         # a one-shot iterator is enough: each stream is read once, into the row cache

@@ -2,9 +2,9 @@
 
 Each tracker reads its scores from an array the test owns, as ``sofs``
 reads σ and ``pet`` reads -|w|. The test writes a feature's new score into
-that array, then calls ``select`` on the touched features, with their
-scores passed in (as ``sofs`` does) or read through the score function (as
-``pet`` does).
+that array, then calls ``select`` on the touched features with their
+scores passed in, as both learners do. The tracker reads the array itself
+only for the features it keeps.
 """
 import numpy as np
 import pytest
@@ -18,11 +18,11 @@ def scored(capacity, n):
     return TopBTracker(capacity, lambda ix: s[ix]), s
 
 
-def touch(t, s, idx, values, pass_scores=True):
+def touch(t, s, idx, values):
     """Set the scores of the sorted feature indices ``idx``, then select."""
     idx = np.asarray(idx, dtype=np.int64)
     s[idx] = values
-    return t.select(idx, s[idx] if pass_scores else None)
+    return t.select(idx, s[idx])
 
 
 class TestConstruction:
@@ -47,10 +47,11 @@ class TestLimit:
     """The cached bound on the worst kept score."""
 
     def test_absent_until_full(self):
+        # +inf while the set fills: no outsider is worse than it
         t, s = scored(2, 10)
-        assert t._bound is None
+        assert t._bound == np.inf
         touch(t, s, [0], 0.8)
-        assert t._bound is None
+        assert t._bound == np.inf
         touch(t, s, [1], 0.9)
         assert t._bound == 0.9
 
@@ -76,7 +77,7 @@ class TestSelect:
     def test_adjust_in_place(self):
         t, s = scored(2, 10)
         touch(t, s, [1, 2], [0.9, 0.8])
-        assert touch(t, s, [2], 0.7, pass_scores=False).tolist() == []
+        assert touch(t, s, [2], 0.7).tolist() == []
         assert sorted(t.indices()) == [1, 2]
         check_state(t, s)
 
@@ -132,16 +133,16 @@ class TestOffer:
 
 
 def check_state(t: TopBTracker, s: np.ndarray):
-    """The mask marks exactly the kept buffer, and the cached bound covers
-    the worst kept score in ``s`` once the set is full."""
-    kept = t._keys[: t._n]
-    assert t._n == len(t) <= t.capacity
-    assert len(set(kept.tolist())) == t._n
+    """The mask marks exactly the kept indices, and the cached bound covers
+    the worst kept score in ``s`` once the set is full; it is +inf until then."""
+    kept = t.indices()
+    assert len(t) == len(kept) <= t.capacity
+    assert len(set(kept)) == len(kept)
     assert np.array_equal(np.flatnonzero(t._mask), np.sort(kept))
-    if t._n == t.capacity:
-        assert t._bound is not None and t._bound >= s[kept].max()
+    if len(t) == t.capacity:
+        assert s[kept].max() <= t._bound < np.inf
     else:
-        assert t._bound is None
+        assert t._bound == np.inf
 
 
 def value_index_order(current):
@@ -151,11 +152,12 @@ def value_index_order(current):
 class TestAgainstSortOracle:
     """Random monotone score sequences vs keeping the B smallest by sort."""
 
-    @pytest.mark.parametrize("capacity", [1, 2, 5, 16])
+    @pytest.mark.parametrize("capacity", [1, 2, 5, 16, 10**13])
     def test_contents_match_sorted_smallest(self, capacity):
+        # 10**13 exceeds every universe: the set never fills, nothing is dropped
         rng = np.random.default_rng(100 + capacity)
-        for trial in range(250):  # 4 capacities x 250 = 1000 sequences
-            universe = int(rng.integers(max(2, capacity), 40))
+        for _ in range(250):  # 5 capacities x 250 = 1250 sequences
+            universe = int(rng.integers(max(2, min(capacity, 16)), 40))
             t, s = scored(capacity, universe)
             current = {}  # idx -> latest score
             for _ in range(int(rng.integers(1, 201))):
@@ -164,9 +166,11 @@ class TestAgainstSortOracle:
                     value = s[idx] * float(rng.uniform(0.3, 1.0))
                 else:
                     value = float(rng.uniform(0.01, 1.0))
-                touch(t, s, [idx], value, pass_scores=trial % 2 == 0)
+                dropped = touch(t, s, [idx], value)
                 current[idx] = value
                 check_state(t, s)
+                if capacity >= universe:
+                    assert len(dropped) == 0
                 # kept set == B smallest of the latest scores; the drawn
                 # values are continuous so ties never materialize
                 order = sorted(current, key=current.get)
@@ -185,15 +189,15 @@ class TestAgainstSortOracle:
             order = np.argsort(vals, kind="stable")
             assert set(t.indices()) == set(order[:capacity].tolist())
 
-    @pytest.mark.parametrize("capacity", [1, 2, 5, 16])
+    @pytest.mark.parametrize("capacity", [1, 2, 5, 16, 10**13])
     def test_tied_values_match_value_index_sort(self, capacity):
         # values from a four-element set tie all the time; the kept set must
         # be the first B by (value, index), whether touched one at a time or
         # as one sorted batch
         levels = [0.125, 0.25, 0.5, 1.0]
         rng = np.random.default_rng(200 + capacity)
-        for trial in range(100):
-            universe = int(rng.integers(max(2, capacity), 40))
+        for _ in range(100):
+            universe = int(rng.integers(max(2, min(capacity, 16)), 40))
             t, s = scored(capacity, universe)
             current = {}
             for _ in range(int(rng.integers(1, 120))):
@@ -204,9 +208,11 @@ class TestAgainstSortOracle:
                 for j in batch.tolist():
                     top = levels.index(current[j]) + 1 if j in kept else len(levels)
                     vals.append(levels[int(rng.integers(0, top))])
-                touch(t, s, batch, vals, pass_scores=trial % 2 == 0)
+                dropped = touch(t, s, batch, vals)
                 current.update(zip(batch.tolist(), vals))
                 check_state(t, s)
+                if capacity >= universe:
+                    assert len(dropped) == 0
                 assert sorted(t.indices()) == sorted(value_index_order(current)[:capacity])
 
 
