@@ -16,9 +16,12 @@ from . import learners, pipeline
 
 def _csv_list(text: str, kind: type = str) -> list:
     try:
-        return [kind(tok.strip()) for tok in text.split(",") if tok.strip()]
+        values = [kind(tok.strip()) for tok in text.split(",") if tok.strip()]
+        if values:
+            return values
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a comma list of {kind.__name__} values, got {text!r}") from None
+        pass
+    raise argparse.ArgumentTypeError(f"expected a comma list of {kind.__name__} values, got {text!r}")
 
 
 def _csv_ints(text: str) -> List[int]:
@@ -272,7 +275,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     except FileNotFoundError as err:
         print(f"ofs: {err}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as err:  # a LibsvmFormatError is a ValueError
+    # a LibsvmFormatError is a ValueError; a MemoryError is a dimension too large to allocate
+    except (ValueError, OSError, MemoryError) as err:
         print(f"ofs: {err}", file=sys.stderr)
         return 1
 

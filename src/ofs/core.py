@@ -9,6 +9,7 @@ multiplicatively and drifts visibly in anything narrower.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Tuple
 
@@ -17,14 +18,15 @@ import numpy as np
 VALID_LABELS = (-1, 1)
 
 
-@dataclass
+@dataclass(eq=False)
 class SparseExample:
     """One labelled instance: a label in {-1, +1} plus sorted sparse features.
 
     ``indices`` must be strictly increasing (0-based, no duplicates) and
     ``values`` must contain no exact zeros. Construct through
     :meth:`from_pairs` unless the arrays are already known to satisfy both
-    invariants. Instances are treated as immutable once built.
+    invariants. Instances are treated as immutable once built, and compare
+    equal only to themselves.
     """
 
     label: int
@@ -37,7 +39,8 @@ class SparseExample:
 
         Zero-valued entries are dropped. As in the libsvm parser, a NaN or
         infinite value and an index that does not fit int64 raise
-        ``ValueError``, and so do negative, duplicate or out-of-order indices.
+        ``ValueError``, and so do negative, duplicate or out-of-order indices
+        and an index that is not a Python or numpy integer.
         """
         if label not in VALID_LABELS:
             raise ValueError(f"label must be -1 or +1, got {label!r}")
@@ -45,7 +48,10 @@ class SparseExample:
         vals: list[float] = []
         last = -1
         for i, v in pairs:
-            i = int(i)
+            try:
+                i = operator.index(i)
+            except TypeError:
+                raise ValueError(f"feature index must be an integer, got {i!r}") from None
             if i < 0:
                 raise ValueError(f"negative feature index {i}")
             if i >= 2**63:

@@ -509,7 +509,8 @@ def load_model(path) -> OnlineLearner:
     non-finite weight or mean, or a covariance outside (0, 1] is rejected
     too. Each failure raises ``ValueError`` naming the file and the line.
     A ``sofs`` or ``pet`` kept set is rebuilt by the learner's own rule
-    over the features the file lists.
+    over the features the file lists, and a ``fofs`` model is truncated to
+    its budget, as its own update leaves it.
     """
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().split()
@@ -530,4 +531,6 @@ def load_model(path) -> OnlineLearner:
         # rebuild the kept set by the learner's own rule over the listed features
         tracker = model.tracker
         model.weights.array[tracker.select(keys, tracker.score(keys))] = 0.0
+    elif isinstance(model, FofsModel):
+        truncate(model.w, model.budget)
     return model

@@ -7,6 +7,7 @@ learner, reaches the caller at once.
 """
 from __future__ import annotations
 
+import io
 import itertools
 import os
 import tempfile
@@ -183,63 +184,57 @@ def cross_validate(
 class _RowCache:
     """One pass over a stream into CSR arrays: labels, indptr, indices, values.
 
-    Up to ``limit`` rows are held in memory. Past that, indices and values
-    are appended chunk by chunk to raw files in ``spill_dir`` and read back
-    through ``np.memmap``; labels and row offsets stay in memory.
+    Each row's indices and values are written once, as int64 and float64,
+    as the row is read: to in-memory buffers for the first ``limit`` rows,
+    and from the first row past it to two raw files in ``spill_dir``, opened
+    once, which are read back through ``np.memmap``. Labels and row offsets
+    stay in memory.
     """
 
     def __init__(self, stream: Iterable[SparseExample], limit: int, spill_dir: str, name: str):
         labels, indptr = array("b"), array("q", [0])
-        held: List[SparseExample] = []
-        spill: Optional[List[str]] = None
-        for ex in stream:
-            labels.append(ex.label)
-            indptr.append(indptr[-1] + len(ex.indices))
-            held.append(ex)
-            if len(held) > limit:
-                if spill is None:
-                    spill = [os.path.join(spill_dir, f"{name}.{part}") for part in ("idx", "val")]
-                _spill_rows(held, spill)
-                held = []
+        sinks = [io.BytesIO(), io.BytesIO()]
+        files = []  # the two spill files, once a row passes the limit
+        try:
+            for ex in stream:
+                if len(labels) == limit:
+                    for part, buf in zip(("idx", "val"), sinks):
+                        files.append(open(os.path.join(spill_dir, f"{name}.{part}"), "wb"))
+                        files[-1].write(buf.getbuffer())
+                    sinks = files
+                labels.append(ex.label)
+                indptr.append(indptr[-1] + len(ex.indices))
+                sinks[0].write(np.ascontiguousarray(ex.indices, np.int64))
+                sinks[1].write(np.ascontiguousarray(ex.values, np.float64))
+        finally:
+            for fh in files:
+                fh.close()
         self.labels = np.frombuffer(labels, dtype=np.int8)
         self.indptr = np.frombuffer(indptr, dtype=np.int64)
-        if spill is None:
-            self.indices, self.values = _concat_rows(held)
+        dtypes = (np.int64, np.float64)
+        if not files:
+            # getvalue hands over each buffer's bytes without a copy
+            self.indices, self.values = (np.frombuffer(buf.getvalue(), dt) for buf, dt in zip(sinks, dtypes))
             return
-        _spill_rows(held, spill)
         nnz = indptr[-1]
         # mapping an empty file fails, and an empty array holds no data anyway
         self.indices, self.values = (
-            np.memmap(path, dtype=dtype, mode="r", shape=(nnz,)) if nnz else np.empty(0, dtype)
-            for path, dtype in zip(spill, (np.int64, np.float64))
+            np.memmap(fh.name, dtype=dt, mode="r", shape=(nnz,)) if nnz else np.empty(0, dt)
+            for fh, dt in zip(files, dtypes)
         )
 
     def __len__(self) -> int:
         return len(self.labels)
 
     def rows(self, order: Optional[np.ndarray] = None) -> Iterator[SparseExample]:
-        """Yield the rows in stream order, or in ``order``, copied into plain arrays."""
+        """Yield the rows in stream order, or in ``order``, as read-only views of the cache."""
         labels, ptr = self.labels.tolist(), self.indptr.tolist()
         # plain ndarray views: slicing an np.memmap row by row runs its
         # Python-level __getitem__ and __array_finalize__ on every row
         idx, val = np.asarray(self.indices), np.asarray(self.values)
         for r in range(len(labels)) if order is None else order.tolist():
             a, b = ptr[r], ptr[r + 1]
-            yield SparseExample(labels[r], np.array(idx[a:b]), np.array(val[a:b]))
-
-
-def _concat_rows(rows: List[SparseExample]) -> Tuple[np.ndarray, np.ndarray]:
-    if not rows:
-        return np.empty(0, np.int64), np.empty(0)
-    idx = np.concatenate([ex.indices for ex in rows]).astype(np.int64, copy=False)
-    val = np.concatenate([ex.values for ex in rows]).astype(np.float64, copy=False)
-    return idx, val
-
-
-def _spill_rows(rows: List[SparseExample], paths: List[str]) -> None:
-    for arr, path in zip(_concat_rows(rows), paths):
-        with open(path, "ab") as fh:
-            arr.tofile(fh)
+            yield SparseExample(labels[r], idx[a:b], val[a:b])
 
 
 def benchmark_sweep(

@@ -1,4 +1,5 @@
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -135,8 +136,10 @@ class TestUsageErrors:
             ("sweep --algos sofs --B x --train DATA --test DATA", "argument --B: expected a comma list of int values"),
             ("cv --algo arow --gammas 1,x --data DATA", "argument --gammas: expected a comma list of float values"),
             ("cv --algo arow --data absent.svm", "argument --data: no such file: absent.svm"),
+            ("sweep --algos , --B 1 --train DATA --test DATA", "argument --algos: expected a comma list of str values"),
+            ("cv --algo arow --gammas , --data DATA", "argument --gammas: expected a comma list of float values"),
         ],
-        ids=["sweep-B", "cv-gammas", "missing-data"],
+        ids=["sweep-B", "cv-gammas", "missing-data", "sweep-algos-empty", "cv-gammas-empty"],
     )
     def test_bad_argument_is_a_clean_usage_error(self, tmp_path, line, message):
         data = tmp_path / "d.svm"
@@ -240,6 +243,41 @@ class TestAnyBudget:
             assert "Traceback" not in proc.stderr
         assert model.read_text().split()[4] == "10000000000000"
         assert proc.stdout.startswith("accuracy ")
+
+
+def _limit_address_space():
+    # a failed allocation then raises MemoryError at once, whatever the host's RAM
+    resource.setrlimit(resource.RLIMIT_AS, (4 * 2**30, 4 * 2**30))
+
+
+class TestDimensionBeyondMemory:
+    @pytest.mark.parametrize(
+        "command,text",
+        [("train", "+1 10000000000000:1\n"), ("eval", "OFSMODEL v1 ogd 10000000000000 0 eta=0.2 t=0\n")],
+        ids=["train", "eval"],
+    )
+    def test_allocation_failure_is_a_data_error(self, tmp_path, command, text):
+        given = tmp_path / "given"
+        given.write_text(text)
+        data = tmp_path / "d.svm"
+        data.write_text("+1 1:1\n")
+        if command == "train":
+            argv = ["train", "--algo", "ogd", "--data", str(given), "--model", str(tmp_path / "m")]
+        else:
+            argv = ["eval", "--model", str(given), "--data", str(data)]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "ofs.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+            preexec_fn=_limit_address_space,
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("ofs: ") and "allocate" in proc.stderr
+        assert proc.stdout == ""
 
 
 class TestOneReader:

@@ -58,6 +58,24 @@ class TestSparseExample:
         with pytest.raises(ValueError, match="non-finite value"):
             ex(1, (0, 1.0), (4, value))
 
+    @pytest.mark.parametrize("index", [1.7, 1.0, "1", None], ids=["fraction", "float", "str", "none"])
+    def test_non_integer_index(self, index):
+        with pytest.raises(ValueError, match="feature index must be an integer"):
+            ex(1, (index, 2.0))
+
+    @pytest.mark.parametrize("kind", [int, np.int32, np.int64, np.uint64], ids=lambda k: k.__name__)
+    def test_integer_index_kinds(self, kind):
+        e = ex(1, (kind(1), 2.0), (kind(5), 3.0))
+        assert e.indices.tolist() == [1, 5]
+        assert e.indices.dtype == np.int64
+
+    def test_equality_is_identity(self):
+        # comparing the arrays field by field would raise on numpy's ambiguous truth value
+        a, b = ex(1, (0, 1.0), (3, 2.0)), ex(1, (0, 1.0), (3, 2.0))
+        assert a == a
+        assert a != b
+        assert [a, b].index(b) == 1
+
     def test_index_beyond_int64(self):
         assert ex(1, (2**63 - 1, 1.0)).indices.tolist() == [2**63 - 1]
         with pytest.raises(ValueError, match="does not fit int64"):

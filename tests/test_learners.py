@@ -629,6 +629,14 @@ class TestPersistence:
         path.write_text("OFSMODEL v1 pet 4 2 eta=0.2\n1 -0.5\n")
         assert load_model(path).tracker.indices() == [1]
 
+    def test_fofs_budget_applied_on_load(self, tmp_path):
+        # a file listing more weights than B loads truncated, as fofs's own update leaves it
+        path = tmp_path / "model.txt"
+        path.write_text("OFSMODEL v1 fofs 4 1 eta=0.2 lambda=0.01\n0 0.5\n1 -0.25\n2 0.75\n")
+        m = load_model(path)
+        assert m.nonzero_count() == 1
+        assert m.w.array.tolist() == [0.0, 0.0, 0.75, 0.0]
+
     @pytest.mark.parametrize(
         "header,body",
         [("sofs 4 10000000000000 gamma=1.0", "1 0.5 0.25\n"), ("pet 4 10000000000000 eta=0.2", "1 0.5\n")],

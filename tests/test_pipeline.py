@@ -1,6 +1,8 @@
+import hashlib
 import os
 import tempfile
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ import pytest
 from ofs import data, pipeline
 from ofs.core import SparseExample
 from ofs.data import DatasetStream, LibsvmFormatError, SyntheticSpec, generate_synthetic, read_libsvm, write_libsvm
-from ofs.learners import ArowModel, make_learner
+from ofs.learners import ALGOS, ArowModel, make_learner
 from ofs.pipeline import (
     CSV_HEADER,
     CvGrid,
@@ -288,11 +290,17 @@ class TestSweep:
         train, test = self.desk_data(seed=55)
         args = (["sofs", "pet", "ogd"], [10], train, test)
         mem = benchmark_sweep(*args, repeats=2, dim=300)
-        spill_rows = pipeline._spill_rows
-        spills = []
-        monkeypatch.setattr(pipeline, "_spill_rows", lambda rows, paths: spills.append(paths) or spill_rows(rows, paths))
+        cache = pipeline._RowCache
+        mapped = []
+
+        def spying(*a, **k):
+            built = cache(*a, **k)
+            mapped.append(built.indices.filename if isinstance(built.indices, np.memmap) else None)
+            return built
+
+        monkeypatch.setattr(pipeline, "_RowCache", spying)
         spilled = benchmark_sweep(*args, repeats=2, dim=300, max_in_memory=10)
-        assert any(paths[0].endswith("train.idx") for paths in spills)
+        assert mapped[0].endswith("train.idx") and mapped[1].endswith("test.idx")
         assert [(r.accuracy, r.mistakes, r.selected) for r in spilled] == [
             (r.accuracy, r.mistakes, r.selected) for r in mem
         ]
@@ -396,6 +404,34 @@ class TestSweepCache:
         train, test = files
         return benchmark_sweep(algos, budgets, read_libsvm(train), read_libsvm(test), dim=200, **kwargs)
 
+    # sha256 of every report's algo, B, seed, accuracy, mistakes, sparsity
+    # and sorted selected set, as the row cache gave them before it wrote
+    # rows as it read them; each limit must give these reports bit for bit
+    SWEEP_DIGEST = "f7f945ee0bec1783507849b1658bb685fd9c604837e054ec2ae745a20a12b6c3"
+
+    @pytest.mark.parametrize("max_in_memory", [1_000_000, 200, 10, 0])
+    def test_sweep_output_pinned(self, tmp_path, max_in_memory):
+        spec = SyntheticSpec(n_train=300, n_test=250, dim=500, idim=20, ndim=40, seed=63)
+        train, test, _ = generate_synthetic(spec)
+        write_libsvm(train, tmp_path / "train.svm")
+        write_libsvm(test, tmp_path / "test.svm")
+        reports = benchmark_sweep(
+            ALGOS,
+            [10, 30],
+            read_libsvm(tmp_path / "train.svm"),
+            read_libsvm(tmp_path / "test.svm"),
+            2,
+            base_seed=5,
+            dim=500,
+            max_in_memory=max_in_memory,
+        )
+        assert len(reports) == 16
+        h = hashlib.sha256()
+        for r in reports:
+            fields = (r.algo, r.budget, r.seed, r.accuracy.hex(), r.mistakes, r.sparsity_pct.hex(), sorted(r.selected))
+            h.update(repr(fields).encode("ascii"))
+        assert h.hexdigest() == self.SWEEP_DIGEST
+
     @pytest.mark.parametrize("max_in_memory", [1_000_000, 10])
     def test_each_file_parsed_once(self, tmp_path, monkeypatch, max_in_memory):
         files = self.files(tmp_path)
@@ -476,3 +512,36 @@ class TestRowCache:
         empty = [SparseExample(1, np.empty(0, np.int64), np.empty(0))] * 3
         cache = _RowCache(empty, 1, str(tmp_path), "t")
         assert [(ex.label, ex.nnz) for ex in cache.rows()] == [(1, 0)] * 3
+
+    @pytest.mark.parametrize("limit", [1_000, 7, 0])
+    def test_rows_are_read_only_views(self, tmp_path, limit):
+        examples = random_stream(np.random.default_rng(64), 30, 30)
+        cache = _RowCache(examples, limit, str(tmp_path), "t")
+        for got in cache.rows():
+            for arr, whole in ((got.indices, cache.indices), (got.values, cache.values)):
+                assert not arr.flags.writeable
+                assert np.shares_memory(arr, whole)
+
+    def test_spill_files_opened_once(self, tmp_path, monkeypatch):
+        examples = random_stream(np.random.default_rng(65), 50, 30)
+        opened = []
+        monkeypatch.setattr(pipeline, "open", lambda *a, **k: opened.append(a[0]) or open(*a, **k), raising=False)
+        cache = _RowCache(examples, 0, str(tmp_path), "t")
+        assert sorted(os.path.basename(path) for path in opened) == ["t.idx", "t.val"]
+        assert [ex.label for ex in cache.rows()] == [ex.label for ex in examples]
+
+    def test_in_memory_peak_near_one_copy(self, tmp_path):
+        # one copy of the indices and values, plus the buffers' growth slack
+        spec = SyntheticSpec(n_train=4_000, n_test=1, dim=5_000, idim=20, ndim=80, seed=66)
+        train, _, _ = generate_synthetic(spec)
+        path = tmp_path / "train.svm"
+        write_libsvm(train, path)
+        tracemalloc.start()
+        try:
+            cache = _RowCache(read_libsvm(path), 1_000_000, str(tmp_path), "t")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        payload = cache.indices.nbytes + cache.values.nbytes
+        assert payload >= 5 * 2**20
+        assert peak <= 1.3 * payload, f"peak {peak / payload:.2f}x the index and value bytes"
