@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import zlib
 from typing import List, Optional
 
 from . import data as dat
@@ -275,8 +276,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except FileNotFoundError as err:
         print(f"ofs: {err}", file=sys.stderr)
         return 2
-    # a LibsvmFormatError is a ValueError; a MemoryError is a dimension too large to allocate
-    except (ValueError, OSError, MemoryError) as err:
+    # a LibsvmFormatError is a ValueError; a MemoryError is a dimension too large to allocate;
+    # EOFError and zlib.error are a truncated or corrupt gzip input
+    except (ValueError, OSError, MemoryError, EOFError, zlib.error) as err:
         print(f"ofs: {err}", file=sys.stderr)
         return 1
 

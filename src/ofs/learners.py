@@ -116,8 +116,14 @@ class OnlineLearner:
         wi = a[idx]
         return float(wi.dot(ex.values)) + 0.0, wi  # + 0.0: see core.sparse_dot
 
+    def _state(self) -> Tuple[DenseVector, ...]:
+        """The per-coordinate state vectors, weights first: what
+        ``_ensure`` grows and what a model file stores, one column each."""
+        return (self.weights,)
+
     def _ensure(self, n: int) -> None:
-        self.weights.ensure(n)
+        for vec in self._state():
+            vec.ensure(n)
 
 
 class _SecondOrder(OnlineLearner):
@@ -138,9 +144,8 @@ class _SecondOrder(OnlineLearner):
     def weights(self) -> DenseVector:
         return self.mu
 
-    def _ensure(self, n: int) -> None:
-        self.mu.ensure(n)
-        self.sigma.ensure(n)
+    def _state(self) -> Tuple[DenseVector, ...]:
+        return (self.mu, self.sigma)
 
     def _arow_step(self, idx: np.ndarray, vals: np.ndarray, y: int, margin: float, wi: np.ndarray) -> np.ndarray:
         """Closed-form second-order update on the active coordinates.
@@ -346,31 +351,27 @@ def save_model(model: OnlineLearner, path) -> None:
     """Write a model as text: a header line, then one line per coordinate.
 
     Header: ``OFSMODEL v1 <algo> <d> <B> key=value ...`` with B = 0 for
-    learners without a budget. Second-order models store ``idx mu sigma``
-    for every touched coordinate, first-order models ``idx w`` for every
-    nonzero one; ``sofs`` and ``pet`` also store every kept feature, even
-    one whose state equals an untouched one. Floats are written with repr
-    so a reload reproduces predictions bit for bit.
+    learners without a budget. Each body line is ``idx`` followed by the
+    coordinate's value in every state vector: ``idx mu sigma`` for
+    second-order models, ``idx w`` for first-order ones. A coordinate is
+    stored where any state vector differs from its fill (a nonzero weight
+    or mean, a covariance below 1), and ``sofs`` and ``pet`` also store
+    every kept feature, even one whose state equals an untouched one.
+    Floats are written with repr so a reload reproduces predictions bit
+    for bit.
     """
     params = " ".join(f"{k}={v!r}" for k, v in model.hyperparams().items())
     budget = model.budget or 0
     d = len(model.weights)
     lines = [f"{MODEL_MAGIC} {MODEL_VERSION} {model.algo} {d} {budget} {params}".rstrip()]
-    w = model.weights.array
-    if isinstance(model, _SecondOrder):
-        sig = model.sigma.array
-        stored = (w != 0.0) | (sig != 1.0)
-    else:
-        sig = None
-        stored = w != 0.0
+    state = model._state()
+    stored = np.logical_or.reduce([vec.array != vec.fill for vec in state])
     if isinstance(model, (SofsModel, PetModel)):
         # a kept feature can hold the state of an untouched one
         stored[model.tracker.indices()] = True
-    for j in np.flatnonzero(stored).tolist():
-        if sig is None:
-            lines.append(f"{j} {float(w[j])!r}")
-        else:
-            lines.append(f"{j} {float(w[j])!r} {float(sig[j])!r}")
+    j = np.flatnonzero(stored)
+    columns = [j.tolist()] + [vec.array[j].tolist() for vec in state]
+    lines += map(" ".join, zip(*(map(repr, column) for column in columns)))
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -420,45 +421,44 @@ def _load_header(header: List[str]) -> OnlineLearner:
     return model
 
 
-def _read_body(fh, d: int, second: bool):
-    """The rest of ``fh`` as model body rows, in one ``np.loadtxt`` pass.
+def _read_body(fh, d: int, width: int):
+    """The rest of ``fh`` as model body rows of ``width`` fields, in one
+    ``np.loadtxt`` pass.
 
-    Returns the indices, their sorted unique values, the weights and the
-    covariances (None for first-order models), or None if numpy cannot
-    read the body or a row fails the checks of :func:`_scan_body`, which
-    then reports the first bad line. numpy converts floats with the same
+    Returns the indices, their sorted unique values, then one column per
+    state vector (the weights, then any covariances), or None if numpy
+    cannot read the body or a row fails the checks of :func:`_scan_body`,
+    which then reports the first bad line. numpy converts floats with the same
     routine as ``float`` and accepts a subset of the spellings ``int`` and
     ``float`` accept, so a body it reads holds the values the scan would.
     """
-    dtype = np.dtype([("j", np.int64), ("w", np.float64), ("s", np.float64)][: 3 if second else 2])
+    dtype = np.dtype([("j", np.int64)] + [(name, np.float64) for name in ("w", "s")[: width - 1]])
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # loadtxt warns on a body with no rows
             rows = np.loadtxt(fh, dtype=dtype, comments=None, ndmin=1)
     except (ValueError, Warning):
         return None
-    j, w = rows["j"], rows["w"]
-    s = rows["s"] if second else None
+    j, w, *covariances = (rows[name] for name in dtype.names)
     ok = ((j >= 0) & (j < d) & np.isfinite(w)).all()
-    if second:
+    for s in covariances:
         ok &= ((s > 0.0) & (s <= 1.0)).all()
     keys = np.sort(j)  # np.unique hashes on numpy 2.x and costs over ten times as much
     if not ok or (keys[1:] == keys[:-1]).any():
         return None
-    return j, keys, w, s
+    return (j, keys, w, *covariances)
 
 
-def _scan_body(path, d: int, second: bool):
+def _scan_body(path, d: int, width: int):
     """The body of the model file at ``path`` read line by line, as
     :func:`_read_body` returns it; raises ``ValueError`` naming the first
-    bad line. Slower than the bulk read, so it only runs when that fails.
-    It opens the file afresh, so even a decoding error reads as it would
-    without the bulk pass."""
-    width = 3 if second else 2
-    line_nos: List[int] = []
+    bad line. Each line is checked as it is read: its field count, then
+    its index in [0, d), then that the index is not listed before, then a
+    finite weight, then each covariance in (0, 1]. Slower than the bulk
+    read, so it only runs when that fails. It opens the file afresh, so
+    even a decoding error reads as it would without the bulk pass."""
     idx: List[int] = []
-    weights: List[float] = []
-    sigmas: List[float] = []
+    rows: List[List[float]] = []
     seen = set()
     with open(path, "r", encoding="ascii") as fh:
         fh.readline()
@@ -466,36 +466,29 @@ def _scan_body(path, d: int, second: bool):
             parts = line.split()
             if not parts:
                 continue
+            where = f"{path}: line {line_no}"
             try:
                 if len(parts) != width:
                     raise ValueError
                 j = int(parts[0])
-                weights.append(float(parts[1]))
-                if second:
-                    sigmas.append(float(parts[2]))
+                w, *covariances = values = [float(p) for p in parts[1:]]
             except ValueError:
-                raise ValueError(f"{path}: line {line_no}: expected {width} numbers, got {line.strip()!r}") from None
+                raise ValueError(f"{where}: expected {width} numbers, got {line.strip()!r}") from None
             if not 0 <= j < d:
-                raise ValueError(f"{path}: line {line_no}: index {j} outside [0, {d})")
+                raise ValueError(f"{where}: index {j} outside [0, {d})")
             if j in seen:
-                raise ValueError(f"{path}: line {line_no}: index {j} listed twice")
+                raise ValueError(f"{where}: index {j} listed twice")
+            if not math.isfinite(w):
+                raise ValueError(f"{where}: non-finite weight {w!r}")
+            for s in covariances:
+                if not 0.0 < s <= 1.0:  # NaN fails too
+                    raise ValueError(f"{where}: covariance {s!r} outside (0, 1]")
             seen.add(j)
-            line_nos.append(line_no)
             idx.append(j)
-    w_arr = np.asarray(weights, dtype=np.float64)
-    s_arr = np.asarray(sigmas, dtype=np.float64)
-    bad = ~np.isfinite(w_arr)
-    if second:
-        bad |= ~((s_arr > 0.0) & (s_arr <= 1.0))  # NaN fails both
-    if bad.any():
-        k = int(np.argmax(bad))
-        if np.isfinite(w_arr[k]):
-            what = f"covariance {float(s_arr[k])!r} outside (0, 1]"
-        else:
-            what = f"non-finite weight {float(w_arr[k])!r}"
-        raise ValueError(f"{path}: line {line_nos[k]}: {what}")
+            rows.append(values)
     j_arr = np.asarray(idx, dtype=np.int64)
-    return j_arr, np.sort(j_arr), w_arr, s_arr if second else None
+    columns = np.asarray(rows, dtype=np.float64).reshape(len(idx), width - 1).T
+    return (j_arr, np.sort(j_arr), *columns)
 
 
 def load_model(path) -> OnlineLearner:
@@ -507,7 +500,8 @@ def load_model(path) -> OnlineLearner:
     hyperparameters pass the learner's own checks. A body line with the
     wrong number of fields, an index outside [0, d) or listed twice, a
     non-finite weight or mean, or a covariance outside (0, 1] is rejected
-    too. Each failure raises ``ValueError`` naming the file and the line.
+    too, each rule applied in that order. Each failure raises
+    ``ValueError`` naming the file and the first line that breaks a rule.
     A ``sofs`` or ``pet`` kept set is rebuilt by the learner's own rule
     over the features the file lists, and a ``fofs`` model is truncated to
     its budget, as its own update leaves it.
@@ -519,14 +513,14 @@ def load_model(path) -> OnlineLearner:
         except ValueError as err:
             raise ValueError(f"{path}: line 1: {err}") from None
         d = len(model.weights)
-        second = isinstance(model, _SecondOrder)
-        body = _read_body(fh, d, second)
+        state = model._state()
+        width = 1 + len(state)  # the index, then one field per state vector
+        body = _read_body(fh, d, width)
     if body is None:
-        body = _scan_body(path, d, second)
-    j, keys, w, s = body
-    model.weights.array[j] = w
-    if second:
-        model.sigma.array[j] = s
+        body = _scan_body(path, d, width)
+    j, keys, *columns = body
+    for vec, column in zip(state, columns):
+        vec.array[j] = column
     if isinstance(model, (SofsModel, PetModel)):
         # rebuild the kept set by the learner's own rule over the listed features
         tracker = model.tracker

@@ -268,6 +268,8 @@ def benchmark_sweep(
         raise ValueError("repeats must be >= 1")
     if max_in_memory < 0:
         raise ValueError("max_in_memory must be >= 0")
+    if dim is not None and dim < 1:
+        raise ValueError("dim must be >= 1")
     for algo in algos:
         learner_class(algo)  # an unknown name fails before any input is read
     reports: List[RunReport] = []

@@ -1,3 +1,4 @@
+import gzip
 import os
 import resource
 import subprocess
@@ -460,6 +461,40 @@ class TestDataErrors:
         assert err == f"ofs: {truth}: {message}\n"
         assert out == ""
 
+class TestCorruptGzip:
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "train --algo ogd --data GZ --model OUT",
+            "eval --model MODEL --data GZ",
+            "predict --model MODEL --data GZ",
+            "cv --algo ogd --data GZ --folds 3",
+            "sweep --algos ogd --B 1 --train DATA --test GZ --repeats 1",
+        ],
+        ids=["train", "eval", "predict", "cv", "sweep"],
+    )
+    def test_truncated_gzip_exits_one(self, tmp_path, capsys, line):
+        paths = small_inputs(tmp_path)
+        packed = gzip.compress(Path(paths["data"]).read_bytes())
+        gz = tmp_path / "d.svm.gz"
+        gz.write_bytes(packed[: len(packed) // 2])
+        paths.update(gz=str(gz), out=str(tmp_path / "out"))
+        code, _, err = run(capsys, *with_paths(line, paths))
+        assert code == 1
+        assert err.startswith("ofs: ") and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_corrupt_deflate_stream_exits_one(self, tmp_path, capsys):
+        gz = tmp_path / "d.svm.gz"
+        gz.write_bytes(b"\x1f\x8b\x08\x00\x00\x00\x00\x00\x00\xff\x07")  # a gzip header, then an invalid block type
+        model = tmp_path / "m"
+        code, out, err = run(capsys, "train", "--algo", "ogd", "--data", str(gz), "--model", str(model))
+        assert code == 1
+        assert err.startswith("ofs: ") and "invalid block type" in err and "Traceback" not in err
+        assert out == ""
+        assert not model.exists()
+
+
 class TestGenerate:
     def test_writes_three_files(self, dataset):
         assert (dataset / "train.svm").exists()
@@ -619,6 +654,16 @@ class TestSweepCommand:
         )
         assert code == 1
         assert "bogus" in err
+
+    @pytest.mark.parametrize("dim", ["0", "-5"])
+    def test_dim_below_one_exits_one(self, tmp_path, capsys, dim):
+        paths = small_inputs(tmp_path)
+        code, out, err = run(
+            capsys, *with_paths(f"sweep --algos ogd --B 1 --train DATA --test TEST --repeats 1 --dim {dim}", paths)
+        )
+        assert code == 1
+        assert err == "ofs: dim must be >= 1\n"
+        assert out == ""
 
 
 class TestCvCommand:

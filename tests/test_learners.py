@@ -849,6 +849,34 @@ class TestPersistence:
         assert str(info.value) == f"{path}: line 3: {message}"
 
     @pytest.mark.parametrize(
+        "header,body,message",
+        [
+            pytest.param(
+                "OFSMODEL v1 ogd 10 0 eta=0.2 t=3", "1 nan\n2 0.5\n2 0.25\n", "non-finite weight nan", id="nan-then-duplicate"
+            ),
+            pytest.param(
+                "OFSMODEL v1 sofs 10 2 gamma=1.0",
+                "1 0.5 1.5\n20 0.5 0.5\n",
+                "covariance 1.5 outside (0, 1]",
+                id="covariance-then-range",
+            ),
+            pytest.param(
+                "OFSMODEL v1 arow 10 0 gamma=1.0",
+                "1 0.5 0.0\n1 0.5 0.5\n",
+                "covariance 0.0 outside (0, 1]",
+                id="covariance-then-duplicate",
+            ),
+        ],
+    )
+    def test_first_bad_line_is_named(self, header, body, message, tmp_path):
+        # each body holds two faults; the line scan alone names the first,
+        # and so does load_model, whose bulk read rejects the body
+        path = tmp_path / "corrupt.txt"
+        path.write_text(f"{header}\n{body}")
+        bulk, scanned = self.load_both(path)
+        assert bulk == scanned == f"{path}: line 2: {message}"
+
+    @pytest.mark.parametrize(
         "header,message",
         [
             pytest.param("OFSMODEL v1 sofs x 3 gamma=1.0", "d must be an integer >= 0, got 'x'", id="x"),
