@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import gzip
 import math
+import zlib
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, List, Optional
 
@@ -70,19 +71,41 @@ def parse_libsvm_line(line: str, line_no: int = 0) -> Optional[SparseExample]:
     return SparseExample(label, np.asarray(idx, dtype=np.int64), np.asarray(vals, dtype=np.float64))
 
 
-def _open_text(path, mode: str = "rt"):
-    if str(path).endswith(".gz"):
-        return gzip.open(path, mode, encoding="ascii")
-    return open(path, mode, encoding="ascii")
+def _open_text(path, mode: str = "rt", encoding: str = "ascii"):
+    opener = gzip.open if str(path).endswith(".gz") else open
+    return opener(path, mode, encoding=encoding)
 
 
 def read_libsvm(path) -> Iterator[SparseExample]:
-    """Yield examples from a libsvm file in order; gzip when path ends .gz."""
-    with _open_text(path) as fh:
+    """Yield examples from a libsvm file in order; gzip when path ends .gz.
+
+    An error in the file's content names the file: a malformed line, a
+    non-ASCII byte (with its line) or a truncated or corrupt gzip.
+    """
+    try:
+        with _open_text(path) as fh:
+            try:
+                for line_no, line in enumerate(fh, start=1):
+                    ex = parse_libsvm_line(line, line_no)
+                    if ex is not None:
+                        yield ex
+            except UnicodeDecodeError:
+                _raise_first_bad_line(path)
+                raise
+    except (LibsvmFormatError, EOFError, zlib.error, gzip.BadGzipFile) as err:
+        err.args = (f"{path}: {err}",)  # keeps the type and the line number
+        raise
+
+
+def _raise_first_bad_line(path) -> None:
+    """Raise :class:`LibsvmFormatError` for the first line that is not ASCII
+    or does not parse; only called once the ASCII read failed to decode."""
+    with _open_text(path, encoding="latin-1") as fh:  # a character per byte, lines split as in ASCII
         for line_no, line in enumerate(fh, start=1):
-            ex = parse_libsvm_line(line, line_no)
-            if ex is not None:
-                yield ex
+            if not line.isascii():
+                col = next(i for i, ch in enumerate(line) if ch > "\x7f")
+                raise LibsvmFormatError(f"non-ASCII byte {ord(line[col]):#04x} at column {col + 1}", line_no)
+            parse_libsvm_line(line, line_no)
 
 
 def write_libsvm(examples: Iterable[SparseExample], path) -> None:

@@ -12,8 +12,8 @@ sofs  second-order update on the touched coordinates, then keep only the
 arow  the same second-order update without any selection
 pet   mistake-driven perceptron truncated to the B largest magnitudes
 fofs  mistake-driven regularised gradient step, projection onto the L2
-      ball of radius 1/sqrt(lambda), then truncation; deliberately scales
-      the full dense vector, so its per-update cost is O(d)
+      ball of radius 1/sqrt(lambda), then truncation; O(d) per update for
+      the dense shrink and projection, the truncation ranks only nonzeros
 ogd   hinge-driven gradient descent with a decaying step, no selection
 """
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .core import DenseVector, SparseExample, sparse_dot, squared_hinge_slope
-from .topb import TopBTracker
+from .topb import TopBTracker, first_b
 
 MODEL_MAGIC = "OFSMODEL"
 MODEL_VERSION = "v1"
@@ -55,22 +55,19 @@ def _check_budget(algo: str, budget: Optional[int]) -> int:
 def truncate(w: DenseVector, budget: int) -> DenseVector:
     """Zero all but the ``budget`` largest-magnitude entries of ``w``.
 
-    Ties at the cutoff keep the lower index. Idempotent; returns ``w`` for
-    chaining.
+    Ties at the cutoff keep the lower index. Only the nonzero entries are
+    ranked, at most B + m after a ``fofs`` update; when some are zeroed,
+    every -0.0 becomes +0.0. Idempotent; returns ``w`` for chaining.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
     a = w.array
-    if budget >= len(a) or int(np.count_nonzero(a)) <= budget:
+    nz = np.flatnonzero(a)
+    if len(nz) <= budget:
         return w
-    ab = np.abs(a)
-    cut = np.partition(ab, len(ab) - budget)[len(ab) - budget]
-    keep = ab > cut
-    short = budget - int(np.count_nonzero(keep))
-    if short > 0:
-        ties = np.flatnonzero(ab == cut)
-        keep[ties[:short]] = True
-    a[~keep] = 0.0
+    keep, _ = first_b(nz, -np.abs(a[nz]), budget)
+    a[nz[~keep]] = 0.0
+    a += 0.0  # -0.0 + 0.0 is +0.0
     return w
 
 
@@ -264,7 +261,8 @@ class FofsModel(FirstOrderModel):
     On a mistake the whole vector is decayed by (1 - lambda * eta), the
     gradient step is added, the result is projected onto the L2 ball of
     radius 1/sqrt(lambda), and finally truncated to the budget. The decay
-    and projection touch every coordinate, so the update is O(d) by design.
+    and projection touch every coordinate, so the update is O(d) by design;
+    :func:`truncate` ranks only the at most B + m nonzero weights.
     """
 
     algo = "fofs"

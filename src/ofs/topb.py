@@ -8,8 +8,8 @@ kept set, not with B, and a cached upper bound on the worst kept score,
 features, never over all d. Usually that is O(m) numpy work: touched kept
 features need nothing, and touched outsiders worse than the bound are
 dropped at once. Only an outsider reaching the bound costs one pass over
-the kept and new candidates: all are kept while they fit in B, else one
-partition picks B of them and refreshes the bound.
+the kept and new candidates: all are kept while they fit in B, else
+:func:`first_b`, shared with ``learners.truncate``, picks B and the bound.
 
 Untouched outsiders are never reconsidered. That is exact when kept scores
 only improve (σ), or when outsiders score the worst possible (-|w| of a
@@ -32,6 +32,19 @@ class Outcome(Enum):
     ADMITTED = "admitted"
     ADMITTED_EVICTING = "admitted_evicting"
     REJECTED = "rejected"
+
+
+def first_b(keys: np.ndarray, scores: np.ndarray, b: int) -> Tuple[np.ndarray, float]:
+    """The mask of the ``b`` first of the distinct ``keys`` in (score, key)
+    order, 1 <= b <= len(keys), and the b-th smallest score."""
+    cut = np.partition(scores, b - 1)[b - 1]
+    keep = scores < cut
+    ties = np.flatnonzero(scores == cut)
+    short = b - int(np.count_nonzero(keep))
+    if len(ties) > short:
+        ties = ties[np.argpartition(keys[ties], short - 1)[:short]]
+    keep[ties] = True
+    return keep, float(cut)
 
 
 class TopBTracker:
@@ -86,7 +99,16 @@ class TopBTracker:
         near = s <= self._bound
         if not near.any():
             return new
-        return np.concatenate((new[~near], self._reselect(new[near], s[near])))
+        far, new = new[~near], new[near]
+        cand = np.concatenate((self._keys, new))
+        if len(cand) < self.capacity:
+            self._mask[new] = True
+            self._keys = cand
+            return far
+        keep, self._bound = first_b(cand, np.concatenate((self.score(self._keys), s[near])), self.capacity)
+        self._mask[cand] = keep
+        self._keys = cand[keep]
+        return np.concatenate((far, cand[~keep]))
 
     def offer(self, idx: int, value: float) -> Tuple[Outcome, Optional[int]]:
         """One-feature form of :meth:`select`; ``value`` is the current score of ``idx``.
@@ -104,26 +126,6 @@ class TopBTracker:
         if len(dropped):
             return Outcome.ADMITTED_EVICTING, int(dropped[0])
         return Outcome.ADMITTED, None
-
-    def _reselect(self, new: np.ndarray, s: np.ndarray) -> np.ndarray:
-        cand = np.concatenate((self._keys, new))
-        b = self.capacity
-        if len(cand) < b:
-            self._mask[new] = True
-            self._keys = cand
-            return new[:0]
-        cs = np.concatenate((self.score(self._keys), s))
-        cut = np.partition(cs, b - 1)[b - 1]
-        keep = cs < cut
-        ties = np.flatnonzero(cs == cut)
-        short = b - int(np.count_nonzero(keep))
-        if len(ties) > short:
-            ties = ties[np.argpartition(cand[ties], short - 1)[:short]]
-        keep[ties] = True
-        self._mask[cand] = keep
-        self._keys = cand[keep]
-        self._bound = float(cut)
-        return cand[~keep]
 
     def __repr__(self) -> str:
         return f"TopBTracker(capacity={self.capacity}, size={len(self._keys)})"

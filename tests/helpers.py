@@ -7,7 +7,7 @@ from typing import Iterator, List
 
 import numpy as np
 
-from ofs.core import SparseExample, squared_hinge_slope
+from ofs.core import DenseVector, SparseExample, squared_hinge_slope
 from ofs.data import _CHUNK, SyntheticGenerator
 from ofs.learners import (
     ArowModel,
@@ -16,7 +16,6 @@ from ofs.learners import (
     OgdModel,
     PetModel,
     SofsModel,
-    truncate,
 )
 
 
@@ -94,9 +93,35 @@ class SortSelectSofs:
         return margin
 
 
+def dense_truncate(w: DenseVector, budget: int) -> DenseVector:
+    """Zero all but the ``budget`` largest-magnitude entries of ``w``.
+
+    Ties at the cutoff keep the lower index. Idempotent; returns ``w`` for
+    chaining.
+
+    The dense O(d) form over every coordinate, kept as the reference the
+    package's ``truncate``, which ranks only the nonzero entries, must
+    match byte for byte.
+    """
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
+    a = w.array
+    if budget >= len(a) or int(np.count_nonzero(a)) <= budget:
+        return w
+    ab = np.abs(a)
+    cut = np.partition(ab, len(ab) - budget)[len(ab) - budget]
+    keep = ab > cut
+    short = budget - int(np.count_nonzero(keep))
+    if short > 0:
+        ties = np.flatnonzero(ab == cut)
+        keep[ties[:short]] = True
+    a[~keep] = 0.0
+    return w
+
+
 class TruncatePet(FirstOrderModel):
     """Reference for ``pet``: the same mistake step, then the dense O(d)
-    :func:`truncate` over every coordinate instead of the tracker."""
+    :func:`dense_truncate` over every coordinate instead of the tracker."""
 
     algo = "pet"
 
@@ -109,7 +134,7 @@ class TruncatePet(FirstOrderModel):
         y = ex.label
         if (1 if margin >= 0.0 else -1) != y:
             self.w.array[ex.indices] += self.eta * y * ex.values
-            truncate(self.w, self.budget)
+            dense_truncate(self.w, self.budget)
         return margin
 
 
@@ -200,7 +225,7 @@ class PlainFofs(FofsModel):
             norm = float(np.linalg.norm(a))
             if norm > radius:
                 a *= radius / norm
-            truncate(self.w, self.budget)
+            dense_truncate(self.w, self.budget)
         return margin
 
 

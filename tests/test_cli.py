@@ -396,9 +396,30 @@ class TestDataErrors:
         model = tmp_path / "m"
         code, out, err = run(capsys, "train", "--algo", "ogd", "--data", str(data), "--model", str(model))
         assert code == 1
-        assert err == "ofs: line 1: feature index must be < 2**63 at token 2: '99999999999999999999999:1'\n"
+        assert err == f"ofs: {data}: line 1: feature index must be < 2**63 at token 2: '99999999999999999999999:1'\n"
         assert out == ""
         assert not model.exists()
+
+    @pytest.mark.parametrize(
+        "content,message",
+        [
+            pytest.param(b"+1 1:1\n+1 2:zz\n", "line 2: malformed feature at token 2: '2:zz'", id="malformed"),
+            pytest.param(b"+1 1:1\n-1 2:1 3:\xe2\x80\x94\n", "line 2: non-ASCII byte 0xe2 at column 10", id="non-ascii"),
+            pytest.param(
+                b"+1 1:1\n-1 2:x\n+1 3:\xe2\n", "line 2: malformed feature at token 2: '2:x'", id="malformed-then-non-ascii"
+            ),
+        ],
+    )
+    def test_sweep_names_the_bad_file(self, tmp_path, capsys, content, message):
+        good, bad = tmp_path / "ok.svm", tmp_path / "bad.svm"
+        good.write_text("+1 1:1\n-1 2:1\n")
+        bad.write_bytes(content)
+        code, out, err = run(
+            capsys, "sweep", "--algos", "ogd", "--B", "1", "--train", str(good), "--test", str(bad), "--repeats", "1"
+        )
+        assert code == 1
+        assert err == f"ofs: {bad}: {message}\n"
+        assert out == ""
 
     def test_unread_cv_grid_value_exits_one(self, tmp_path, capsys):
         # ogd reads only the eta grid; the gamma and lambda grids are checked too
@@ -481,7 +502,7 @@ class TestCorruptGzip:
         paths.update(gz=str(gz), out=str(tmp_path / "out"))
         code, _, err = run(capsys, *with_paths(line, paths))
         assert code == 1
-        assert err.startswith("ofs: ") and "Traceback" not in err
+        assert err.startswith(f"ofs: {gz}: ") and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
     def test_corrupt_deflate_stream_exits_one(self, tmp_path, capsys):
@@ -490,7 +511,7 @@ class TestCorruptGzip:
         model = tmp_path / "m"
         code, out, err = run(capsys, "train", "--algo", "ogd", "--data", str(gz), "--model", str(model))
         assert code == 1
-        assert err.startswith("ofs: ") and "invalid block type" in err and "Traceback" not in err
+        assert err.startswith(f"ofs: {gz}: ") and "invalid block type" in err and "Traceback" not in err
         assert out == ""
         assert not model.exists()
 

@@ -176,6 +176,22 @@ class TestReadWrite:
         with pytest.raises(LibsvmFormatError) as info:
             list(read_libsvm(path))
         assert info.value.line_no == 3
+        assert str(info.value) == f"{path}: line 3: malformed feature at token 2: '3:oops'"
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    @pytest.mark.parametrize("suffix", [".svm", ".svm.gz"])
+    def test_non_ascii_byte_names_file_and_line(self, tmp_path, newline, suffix):
+        # past the first read chunk, so lines before it were parsed and yielded;
+        # the malformed line after it is not the first bad line
+        raw = newline.join(["+1 1:1"] * 3000 + ["-1 2:1 3:\xe2", "+1 oops"]).encode("latin-1")
+        path = tmp_path / f"bad{suffix}"
+        path.write_bytes(gzip.compress(raw) if suffix.endswith(".gz") else raw)
+        read = []
+        with pytest.raises(LibsvmFormatError) as info:
+            read.extend(read_libsvm(path))
+        assert info.value.line_no == 3001
+        assert str(info.value) == f"{path}: line 3001: non-ASCII byte 0xe2 at column 10"
+        assert 0 < len(read) < 3000
 
 
 class TestSyntheticSpec:

@@ -25,9 +25,18 @@ from ofs.learners import (
 )
 from ofs.pipeline import CvGrid
 
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
-from helpers import SortSelectSofs, TruncatePet, plain_dot, plain_learner, random_stream, tied_stream
+from helpers import (
+    PlainFofs,
+    SortSelectSofs,
+    TruncatePet,
+    dense_truncate,
+    plain_dot,
+    plain_learner,
+    random_stream,
+    tied_stream,
+)
 
 
 def ex(label, *pairs):
@@ -116,6 +125,29 @@ class TestTruncate:
     def test_bad_budget(self):
         with pytest.raises(ValueError):
             truncate(DenseVector.from_array([1.0]), 0)
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        values=st.lists(
+            st.one_of(
+                st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 2.5, -2.5]),
+                st.floats(allow_nan=False),
+            ),
+            max_size=40,
+        ),
+        budget=st.integers(1, 42),
+    )
+    @example(values=[0.0, -0.0, -0.0, 0.0], budget=1)  # all zero
+    @example(values=[-0.0, 3.0, 0.0, -2.0, -0.0], budget=2)  # nnz = B
+    @example(values=[-0.0, 3.0, -5e-324, -2.0, -0.0], budget=2)  # nnz = B + 1
+    @example(values=[1.0, -0.0, -1.0, 1.0, 2.0, -1.0], budget=2)  # ties at the cutoff
+    @example(values=[5e-324, -5e-324, -0.0, 5e-324], budget=2)
+    def test_bytes_equal_dense_reference(self, values, budget):
+        # ranking only the nonzero entries keeps the dense result, -0.0 included
+        got, want = DenseVector.from_array(values), DenseVector.from_array(values)
+        truncate(got, budget)
+        dense_truncate(want, budget)
+        assert got.array.tobytes() == want.array.tobytes()
 
 
 class TestArow:
@@ -344,6 +376,33 @@ class TestFofs:
                 m.update(x)
                 assert float(np.linalg.norm(m.w.array)) <= radius + 1e-12
                 assert m.nonzero_count() <= 6
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bytes_equal_dense_truncate_through_negative_zeros(self, seed, monkeypatch):
+        # a large lambda and tiny values make the decay and the projection
+        # underflow weights to -0.0, both in updates that truncate and in
+        # updates left within budget; every update must leave the bytes the
+        # dense truncation leaves
+        cuts = []  # per truncate call: does it zero weights in a vector holding -0.0?
+
+        def spying(w, budget):
+            a = w.array
+            cuts.append(np.count_nonzero(a) > budget and bool(np.signbit(a[a == 0.0]).any()))
+            return truncate(w, budget)
+
+        monkeypatch.setattr(learners, "truncate", spying)
+        rng = np.random.default_rng(seed)
+        levels = np.array([5e-324, 1e-322, 1e-320, 1.0, 1e3])
+        model, plain = FofsModel(budget=8, eta=0.2, lam=4.0), PlainFofs(budget=8, eta=0.2, lam=4.0)
+        kept_negative_zeros = 0
+        for x in random_stream(rng, 400, 30, max_nnz=6):
+            k = len(x.indices)
+            x = SparseExample(x.label, x.indices, rng.choice([-1.0, 1.0], k) * rng.choice(levels, k))
+            assert np.float64(model.update(x)).tobytes() == np.float64(plain.update(x)).tobytes()
+            a = plain.w.array
+            assert model.w.array.tobytes() == a.tobytes()
+            kept_negative_zeros += int(np.count_nonzero(np.signbit(a[a == 0.0])))
+        assert any(cuts) and kept_negative_zeros > 0
 
     def test_lambda_validation(self):
         for lam in (0.0, -0.5, float("nan"), float("inf")):
