@@ -119,7 +119,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--eta", type=float, default=0.2)
     s.add_argument("--lambda", dest="lam", type=float, default=0.01)
     s.add_argument("--dim", type=int, default=None, help="dimensionality that sparsity is measured against")
-    s.add_argument("--max-in-memory", type=int, default=1_000_000)
+    # accepted and ignored, as the benchmark in perfbench/ still passes it:
+    # every sweep writes its row cache to files
+    s.add_argument("--max-in-memory", type=int, help=argparse.SUPPRESS)
     s.set_defaults(func=_cmd_sweep)
 
     c = sub.add_parser("cv", help="pick hyperparameters by k-fold cross validation")
@@ -247,7 +249,6 @@ def _cmd_sweep(args) -> int:
         eta=args.eta,
         lam=args.lam,
         dim=args.dim,
-        max_in_memory=args.max_in_memory,
     )
     print(pipeline.format_report_table(reports))
     if args.csv:

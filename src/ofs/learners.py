@@ -258,11 +258,12 @@ class PetModel(FirstOrderModel):
 class FofsModel(FirstOrderModel):
     """First-order feature selection via regularised updates and projection.
 
-    On a mistake the whole vector is decayed by (1 - lambda * eta), the
-    gradient step is added, the result is projected onto the L2 ball of
-    radius 1/sqrt(lambda), and finally truncated to the budget. The decay
-    and projection touch every coordinate, so the update is O(d) by design;
-    :func:`truncate` ranks only the at most B + m nonzero weights.
+    On a mistake the whole vector is decayed by (1 - lambda * eta), a factor
+    that must not be negative (0 is allowed), the gradient step is added,
+    the result is projected onto the L2 ball of radius 1/sqrt(lambda), and
+    finally truncated to the budget. The decay and projection touch every
+    coordinate, so the update is O(d) by design; :func:`truncate` ranks only
+    the at most B + m nonzero weights.
     """
 
     algo = "fofs"
@@ -273,6 +274,8 @@ class FofsModel(FirstOrderModel):
         self.budget = _check_budget(self.algo, budget)
         super().__init__(eta=eta)
         self.lam = _check_hyperparam("lam", lam)
+        if 1.0 - self.lam * self.eta < 0.0:  # the decay factor, computed as update computes it
+            raise ValueError(f"fofs needs lambda * eta <= 1, got lambda={self.lam} and eta={self.eta}")
 
     def update(self, ex: SparseExample) -> float:
         # the decay below rescales every weight, so the gathered ones are stale

@@ -7,7 +7,6 @@ learner, reaches the caller at once.
 """
 from __future__ import annotations
 
-import io
 import itertools
 import os
 import tempfile
@@ -156,8 +155,12 @@ def cross_validate(
     Folds are contiguous blocks in stream order (no shuffling), each used
     once for validation while the learner trains on the rest in a single
     pass. Returns (best_params, results) with results in grid order; ties
-    keep the earlier grid point.
+    keep the earlier grid point. One learner is built per grid point before
+    the stream is read, so a bad name, budget or hyperparameter fails first.
     """
+    combinations = grid.combinations(algo)
+    for params in combinations:
+        make_learner(algo, budget=budget, **params)
     examples = list(stream)
     k = grid.folds
     n = len(examples)
@@ -167,7 +170,7 @@ def cross_validate(
     results: List[Tuple[Dict[str, float], float]] = []
     best: Dict[str, float] = {}
     best_acc = -1.0
-    for params in grid.combinations(algo):
+    for params in combinations:
         accs = []
         for f in range(k):
             lo, hi = bounds[f], bounds[f + 1]
@@ -185,42 +188,29 @@ class _RowCache:
     """One pass over a stream into CSR arrays: labels, indptr, indices, values.
 
     Each row's indices and values are written once, as int64 and float64,
-    as the row is read: to in-memory buffers for the first ``limit`` rows,
-    and from the first row past it to two raw files in ``spill_dir``, opened
-    once, which are read back through ``np.memmap``. Labels and row offsets
-    stay in memory.
+    as the row is read, to the two raw files ``<name>.idx`` and
+    ``<name>.val`` in ``directory``, each opened once, and are read back
+    through ``np.memmap``. Their pages are file-backed, so under memory
+    pressure the kernel can drop them and read them again later. Labels and
+    row offsets stay in memory.
     """
 
-    def __init__(self, stream: Iterable[SparseExample], limit: int, spill_dir: str, name: str):
+    def __init__(self, stream: Iterable[SparseExample], directory: str, name: str):
         labels, indptr = array("b"), array("q", [0])
-        sinks = [io.BytesIO(), io.BytesIO()]
-        files = []  # the two spill files, once a row passes the limit
-        try:
+        paths = [os.path.join(directory, f"{name}.{part}") for part in ("idx", "val")]
+        with open(paths[0], "wb") as idx, open(paths[1], "wb") as val:
             for ex in stream:
-                if len(labels) == limit:
-                    for part, buf in zip(("idx", "val"), sinks):
-                        files.append(open(os.path.join(spill_dir, f"{name}.{part}"), "wb"))
-                        files[-1].write(buf.getbuffer())
-                    sinks = files
                 labels.append(ex.label)
                 indptr.append(indptr[-1] + len(ex.indices))
-                sinks[0].write(np.ascontiguousarray(ex.indices, np.int64))
-                sinks[1].write(np.ascontiguousarray(ex.values, np.float64))
-        finally:
-            for fh in files:
-                fh.close()
+                idx.write(np.ascontiguousarray(ex.indices, np.int64))
+                val.write(np.ascontiguousarray(ex.values, np.float64))
         self.labels = np.frombuffer(labels, dtype=np.int8)
         self.indptr = np.frombuffer(indptr, dtype=np.int64)
-        dtypes = (np.int64, np.float64)
-        if not files:
-            # getvalue hands over each buffer's bytes without a copy
-            self.indices, self.values = (np.frombuffer(buf.getvalue(), dt) for buf, dt in zip(sinks, dtypes))
-            return
         nnz = indptr[-1]
         # mapping an empty file fails, and an empty array holds no data anyway
         self.indices, self.values = (
-            np.memmap(fh.name, dtype=dt, mode="r", shape=(nnz,)) if nnz else np.empty(0, dt)
-            for fh, dt in zip(files, dtypes)
+            np.memmap(path, dtype=dt, mode="r", shape=(nnz,)) if nnz else np.empty(0, dt)
+            for path, dt in zip(paths, (np.int64, np.float64))
         )
 
     def __len__(self) -> int:
@@ -249,16 +239,17 @@ def benchmark_sweep(
     eta: float = 0.2,
     lam: float = 0.01,
     dim: Optional[int] = None,
-    max_in_memory: int = 1_000_000,
 ) -> List[RunReport]:
     """Train and evaluate every (algo, budget, repeat) combination.
 
-    ``train`` and ``test`` are any iterables of examples, each read once
-    into a :class:`_RowCache`; beyond ``max_in_memory`` rows the cache
-    spills to a temporary directory that is removed on return. A malformed
-    line fails while the caches are built, before any row trains. Learners
-    without a budget train once per repeat and report B = 0. Repeat r walks
-    the training rows in the order of
+    One learner is built per (algo, budget) before any input is read, so a
+    bad name, budget or hyperparameter fails first. ``train`` and ``test``
+    are then any iterables of examples, each read once into a
+    :class:`_RowCache` in a temporary directory that is removed on return;
+    the caches take 16 bytes per nonzero there. A malformed line fails
+    while the caches are built, before any row trains. Learners without a
+    budget train once per repeat and report B = 0. Repeat r walks the
+    training rows in the order of
     ``np.random.default_rng(base_seed + r).permutation(n)``, shared by every
     algorithm and budget in that repeat so comparisons are paired. Sparsity
     is measured against ``dim``, the one place the dimensionality is
@@ -266,41 +257,40 @@ def benchmark_sweep(
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
-    if max_in_memory < 0:
-        raise ValueError("max_in_memory must be >= 0")
     if dim is not None and dim < 1:
         raise ValueError("dim must be >= 1")
-    for algo in algos:
-        learner_class(algo)  # an unknown name fails before any input is read
+    params = {"gamma": gamma, "eta": eta, "lam": lam}
+    runs = [(algo, budget) for algo in algos for budget in (budgets if algo in BUDGETED else (0,))]
+    for algo, budget in runs:
+        make_learner(algo, budget=budget, **params)
     reports: List[RunReport] = []
     with tempfile.TemporaryDirectory(prefix="ofs-sweep-") as tmp:
-        train_rows = _RowCache(train, max_in_memory, tmp, "train")
-        test_rows = _RowCache(test, max_in_memory, tmp, "test")
+        train_rows = _RowCache(train, tmp, "train")
+        test_rows = _RowCache(test, tmp, "test")
         for r in range(repeats):
             seed = base_seed + r
             order = np.random.default_rng(seed).permutation(len(train_rows))
-            for algo in algos:
-                for budget in budgets if algo in BUDGETED else (0,):
-                    learner = make_learner(algo, budget=budget or None, gamma=gamma, eta=eta, lam=lam)
-                    started = time.perf_counter()
-                    tr = train_stream(learner, train_rows.rows(order))
-                    accuracy = evaluate(learner, test_rows.rows())
-                    total = time.perf_counter() - started
-                    d = max(dim or 0, len(learner.weights))
-                    nnz = learner.nonzero_count()
-                    sparsity = 100.0 * (1.0 - nnz / d) if d else 0.0
-                    reports.append(
-                        RunReport(
-                            algo=algo,
-                            budget=budget,
-                            seed=seed,
-                            accuracy=accuracy,
-                            mistakes=tr.mistakes,
-                            sparsity_pct=sparsity,
-                            train_seconds=tr.train_seconds,
-                            total_seconds=total,
-                            selected=learner.selected_indices(),
-                            n_train=tr.examples,
-                        )
+            for algo, budget in runs:
+                learner = make_learner(algo, budget=budget, **params)
+                started = time.perf_counter()
+                tr = train_stream(learner, train_rows.rows(order))
+                accuracy = evaluate(learner, test_rows.rows())
+                total = time.perf_counter() - started
+                d = max(dim or 0, len(learner.weights))
+                nnz = learner.nonzero_count()
+                sparsity = 100.0 * (1.0 - nnz / d) if d else 0.0
+                reports.append(
+                    RunReport(
+                        algo=algo,
+                        budget=budget,
+                        seed=seed,
+                        accuracy=accuracy,
+                        mistakes=tr.mistakes,
+                        sparsity_pct=sparsity,
+                        train_seconds=tr.train_seconds,
+                        total_seconds=total,
+                        selected=learner.selected_indices(),
+                        n_train=tr.examples,
                     )
+                )
     return reports

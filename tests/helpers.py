@@ -3,20 +3,23 @@ each learner's rule and the synthetic generator restated in plain form."""
 from __future__ import annotations
 
 import math
-from typing import Iterator, List
+from typing import Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
 from ofs.core import DenseVector, SparseExample, squared_hinge_slope
 from ofs.data import _CHUNK, SyntheticGenerator
 from ofs.learners import (
+    BUDGETED,
     ArowModel,
     FirstOrderModel,
     FofsModel,
     OgdModel,
     PetModel,
     SofsModel,
+    make_learner,
 )
+from ofs.pipeline import RunReport, evaluate, train_stream
 
 
 def random_example(rng: np.random.Generator, d: int, max_nnz: int = 12) -> SparseExample:
@@ -304,3 +307,36 @@ def plain_learner(algo: str, budget: int, gamma: float, eta: float, lam: float):
     if algo == "ogd":
         return PlainOgd(eta=eta)
     raise ValueError(algo)
+
+
+def in_memory_sweep(
+    algos: Sequence[str],
+    budgets: Sequence[int],
+    train: Iterable[SparseExample],
+    test: Iterable[SparseExample],
+    repeats: int,
+    *,
+    base_seed: int = 0,
+    dim: Optional[int] = None,
+    **params: float,
+) -> List[RunReport]:
+    """``benchmark_sweep`` with no row cache: each repeat trains on a list
+    of the training examples in its permuted order and evaluates on a list
+    of the test examples. Both timing fields are 0."""
+    train, test = list(train), list(test)
+    reports = []
+    for r in range(repeats):
+        seed = base_seed + r
+        shuffled = [train[i] for i in np.random.default_rng(seed).permutation(len(train))]
+        for algo in algos:
+            for budget in budgets if algo in BUDGETED else (0,):
+                learner = make_learner(algo, budget=budget or None, **params)
+                result = train_stream(learner, shuffled)
+                accuracy = evaluate(learner, test)
+                d = max(dim or 0, len(learner.weights))
+                sparsity = 100.0 * (1.0 - learner.nonzero_count() / d) if d else 0.0
+                reports.append(
+                    RunReport(algo, budget, seed, accuracy, result.mistakes, sparsity, 0.0, 0.0,
+                              learner.selected_indices(), result.examples)
+                )
+    return reports

@@ -18,7 +18,7 @@ from ofs.data import SyntheticSpec, generate_synthetic, read_libsvm, write_libsv
 from ofs.learners import make_learner, load_model, save_model
 from ofs.pipeline import CvGrid, benchmark_sweep, cross_validate, evaluate, train_stream
 
-from helpers import SortSelectSofs, bulk_stream, random_stream
+from helpers import SortSelectSofs, bulk_stream, in_memory_sweep, random_stream
 
 
 @pytest.mark.acceptance("01", "top-B selection matches sort-based reference on 100 streams")
@@ -280,23 +280,22 @@ def test_loader_equivalence(tmp_path, monkeypatch):
     train, test, _ = generate_synthetic(spec)
     write_libsvm(train, tmp_path / "train.svm")
     write_libsvm(test, tmp_path / "test.svm")
-
-    def sweep(**kwargs):
-        train, test = read_libsvm(tmp_path / "train.svm"), read_libsvm(tmp_path / "test.svm")
-        return benchmark_sweep(["sofs", "pet"], [30], train, test, repeats=5, dim=spec.dim, **kwargs)
+    args = (["sofs", "pet"], [30])
 
     mapped = []
     cache = pipeline._RowCache
 
     def spying(*args, **kwargs):
         built = cache(*args, **kwargs)
-        mapped.append(isinstance(built.indices, np.memmap))
+        mapped.append(isinstance(built.indices, np.memmap) and isinstance(built.values, np.memmap))
         return built
 
     monkeypatch.setattr(pipeline, "_RowCache", spying)
-    in_memory = sweep()
-    spilled = sweep(max_in_memory=499)
-    assert mapped == [False, False, True, True]  # both caches spilled in the second sweep
+    spilled = benchmark_sweep(
+        *args, read_libsvm(tmp_path / "train.svm"), read_libsvm(tmp_path / "test.svm"), repeats=5, dim=spec.dim
+    )
+    assert mapped == [True, True]  # both caches are read back from their files
+    in_memory = in_memory_sweep(*args, list(train), list(test), repeats=5, dim=spec.dim)
     assert len(in_memory) == len(spilled) == 10
     for a, b in zip(in_memory, spilled):
         # csv row minus the two trailing timing fields

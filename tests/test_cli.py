@@ -1,8 +1,11 @@
+import errno
 import gzip
+import io
 import os
 import resource
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -374,6 +377,26 @@ class TestDataErrors:
         assert "nan" in err
         assert not model.exists()
 
+    @pytest.mark.parametrize("command", ["train", "sweep", "cv"])
+    def test_fofs_negative_shrink_exits_one(self, tmp_path, capsys, command, spy):
+        data = tmp_path / "d.svm"
+        data.write_text("-1 2:1\n-1 3:1\n")
+        model = tmp_path / "m"
+        argv = {
+            "train": ["train", "--algo", "fofs", "--B", "5", "--data", str(data), "--model", str(model),
+                      "--eta", "1", "--lambda", "3"],
+            "sweep": ["sweep", "--algos", "fofs", "--B", "5", "--train", str(data), "--test", str(data),
+                      "--eta", "1", "--lambda", "3"],
+            "cv": ["cv", "--algo", "fofs", "--B", "5", "--data", str(data), "--etas", "1", "--lambdas", "3",
+                   "--folds", "2"],
+        }[command]
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert err == "ofs: fofs needs lambda * eta <= 1, got lambda=3.0 and eta=1.0\n"
+        assert out == ""
+        assert not model.exists()
+        assert "train_stream" not in spy
+
     @pytest.mark.parametrize("command", ["train", "sweep"])
     def test_unread_hyperparameter_exits_one(self, tmp_path, capsys, command):
         # ogd reads neither gamma nor lambda; both are checked all the same
@@ -685,6 +708,42 @@ class TestSweepCommand:
         assert code == 1
         assert err == "ofs: dim must be >= 1\n"
         assert out == ""
+
+    def test_max_in_memory_accepted_and_ignored(self, tmp_path, capsys):
+        paths = small_inputs(tmp_path)
+        rows = []
+        for extra in ("", " --max-in-memory 200", " --max-in-memory -1"):
+            line = "sweep --algos ogd,pet --B 2 --train DATA --test TEST --repeats 2 --csv OUT" + extra
+            code, _, err = run(capsys, *with_paths(line, {**paths, "out": str(tmp_path / "out.csv")}))
+            assert code == 0, err
+            rows.append([row.split(",")[:6] for row in (tmp_path / "out.csv").read_text().splitlines()])
+        assert len(rows[0]) == 1 + 2 * 2
+        assert rows[1] == rows[2] == rows[0]
+
+    def test_max_in_memory_not_in_help(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["sweep", "--help"])
+        assert info.value.code == 0
+        out = capsys.readouterr().out
+        assert "--train" in out and "max-in-memory" not in out
+
+    def test_failed_cache_write_exits_one_and_leaves_no_directory(self, tmp_path, capsys, monkeypatch):
+        paths = small_inputs(tmp_path)
+        scratch = tmp_path / "scratch"
+        scratch.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+
+        class FullDisk(io.FileIO):
+            def write(self, b):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), self.name)
+
+        monkeypatch.setattr(pipeline, "open", FullDisk, raising=False)
+        code, out, err = run(capsys, *with_paths("sweep --algos ogd --B 1 --train DATA --test TEST --repeats 1", paths))
+        assert code == 1
+        assert err.startswith(f"ofs: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}: ")
+        assert err.endswith("train.idx'\n")
+        assert out == ""
+        assert os.listdir(scratch) == []
 
 
 class TestCvCommand:

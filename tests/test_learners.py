@@ -369,8 +369,9 @@ class TestFofs:
 
     def test_ball_and_budget_invariants_randomized(self):
         rng = np.random.default_rng(21)
-        for lam in (0.01, 0.5, 4.0):
-            m = FofsModel(budget=6, eta=0.3, lam=lam)
+        # the last two shrink by 0.2 and by 0 (lambda * eta <= 1 is required)
+        for lam, eta in ((0.01, 0.3), (0.5, 0.3), (4.0, 0.2), (4.0, 0.25)):
+            m = FofsModel(budget=6, eta=eta, lam=lam)
             radius = 1.0 / np.sqrt(lam)
             for x in random_stream(rng, 1000, 40):
                 m.update(x)
@@ -410,6 +411,18 @@ class TestFofs:
                 FofsModel(budget=1, lam=lam)
         with pytest.raises(ValueError):
             make_learner("fofs", budget=5, lam=float("nan"))
+
+    def test_negative_shrink_factor_rejected(self):
+        # a factor 1 - lambda * eta below 0 would flip every weight's sign on each mistake
+        with pytest.raises(ValueError, match=r"^fofs needs lambda \* eta <= 1, got lambda=3.0 and eta=1.0$"):
+            make_learner("fofs", 5, eta=1.0, lam=3.0)
+        # a factor of 0 forgets every weight before the step, as eta = 0 never moves
+        for eta, lam in ((1.0, 1.0), (10.0, 0.1), (0.0, 1e6)):
+            make_learner("fofs", 5, eta=eta, lam=lam)
+        m = make_learner("fofs", 5, eta=1.0, lam=1.0)
+        for x in (ex(-1, (2, 1.0)), ex(-1, (3, 1.0))):
+            m.update(x)
+        assert m.w.to_list() == [0.0, 0.0, 0.0, -1.0]
 
 
 class TestOgd:
@@ -601,13 +614,12 @@ class TestPersistence:
         algo = data.draw(st.sampled_from(ALGOS), label="algo")
         budget = data.draw(st.integers(1, 8), label="B") if algo in BUDGETED else None
         positive = st.floats(0.01, 10.0)
-        m = make_learner(
-            algo,
-            budget=budget,
-            gamma=data.draw(positive, label="gamma"),
-            eta=data.draw(st.floats(0.0, 10.0), label="eta"),
-            lam=data.draw(positive, label="lam"),
-        )
+        gamma = data.draw(positive, label="gamma")
+        eta = data.draw(st.floats(0.0, 10.0), label="eta")
+        if algo == "fofs" and eta > 0.1:
+            # fofs shrinks by 1 - lambda * eta, which must not be negative
+            positive = st.floats(0.01, 1.0 / eta).filter(lambda lam: lam * eta <= 1.0)
+        m = make_learner(algo, budget=budget, gamma=gamma, eta=eta, lam=data.draw(positive, label="lam"))
         d = data.draw(st.integers(1, 30), label="d")
         if data.draw(st.booleans(), label="tied"):
             value = st.sampled_from([-1.0, 1.0])
@@ -951,6 +963,11 @@ class TestPersistence:
             pytest.param("OFSMODEL v1 pet 4 +3 eta=0.2", "B must be an integer >= 0, got '+3'", id="B=+3"),
             pytest.param("OFSMODEL v1 arow 4 2 gamma=1.0", "arow has no budget, so B must be 0, got 2", id="arow-B=2"),
             pytest.param("OFSMODEL v1 fofs 4 2 eta=0.2", "fofs keys must be eta, lambda, got eta", id="no-lambda"),
+            pytest.param(
+                "OFSMODEL v1 fofs 4 2 eta=1.0 lambda=3.0",
+                "fofs needs lambda * eta <= 1, got lambda=3.0 and eta=1.0",
+                id="fofs-negative-shrink",
+            ),
             pytest.param("OFSMODEL v1 sofs 4 3 gamma=1.0 gamma=2.0", "duplicate key 'gamma'", id="duplicate"),
             pytest.param("OFSMODEL v1 ogd 4 0 eta=fast t=0", "eta must be a number, got 'fast'", id="eta=fast"),
         ],

@@ -1,5 +1,6 @@
 import hashlib
 import os
+import re
 import tempfile
 import threading
 import tracemalloc
@@ -24,7 +25,7 @@ from ofs.pipeline import (
     write_reports_csv,
 )
 
-from helpers import random_stream
+from helpers import in_memory_sweep, random_stream
 
 
 def ex(label, *pairs):
@@ -202,6 +203,27 @@ class TestCrossValidate:
         chosen = test_acc[best["gamma"]]
         assert chosen >= max(test_acc.values()) - 0.01
 
+    @pytest.mark.parametrize(
+        "algo,budget,grid,message",
+        [
+            pytest.param("sofs", 0, CvGrid(), "sofs needs B >= 1, got 0", id="budget-0"),
+            pytest.param("pet", None, CvGrid(), "pet needs B >= 1, got None", id="no-budget"),
+            pytest.param(
+                "fofs", 5, CvGrid(etas=(0.2, 1.0), lambdas=(0.5, 3.0)), "fofs needs lambda * eta <= 1", id="fofs-shrink"
+            ),
+        ],
+    )
+    def test_bad_arguments_fail_before_the_stream_is_read(self, algo, budget, grid, message):
+        read = []
+
+        def stream():
+            read.append(True)
+            yield from SEPARABLE * 5
+
+        with pytest.raises(ValueError, match=re.escape(message)):
+            cross_validate(algo, budget, grid, stream())
+        assert read == []
+
     def test_results_in_grid_order_and_first_wins_ties(self):
         train, _, _ = self.synthetic()
         # eta=0 twice: identical accuracy, first grid point must win
@@ -276,20 +298,14 @@ class TestSweep:
         write_libsvm(train, path)
         test = list(test)
 
-        mem = benchmark_sweep(["sofs"], [10], read_libsvm(path), test, repeats=2, dim=200)
-        disk = benchmark_sweep(
-            ["sofs"], [10], read_libsvm(path), test, repeats=2, dim=200, max_in_memory=10
-        )
-        for ra, rb in zip(mem, disk):
-            assert ra.accuracy == rb.accuracy
-            assert ra.mistakes == rb.mistakes
-            assert ra.selected == rb.selected
+        disk = benchmark_sweep(["sofs"], [10], read_libsvm(path), test, repeats=2, dim=200)
+        mem = in_memory_sweep(["sofs"], [10], read_libsvm(path), test, repeats=2, dim=200)
+        assert _row_fields(disk) == _row_fields(mem)
 
     def test_oversized_in_memory_stream_spills(self, monkeypatch):
-        # the spill writes its own files, so an in-memory list spills too
+        # the cache writes its own files, so an in-memory list is written too
         train, test = self.desk_data(seed=55)
         args = (["sofs", "pet", "ogd"], [10], train, test)
-        mem = benchmark_sweep(*args, repeats=2, dim=300)
         cache = pipeline._RowCache
         mapped = []
 
@@ -299,11 +315,9 @@ class TestSweep:
             return built
 
         monkeypatch.setattr(pipeline, "_RowCache", spying)
-        spilled = benchmark_sweep(*args, repeats=2, dim=300, max_in_memory=10)
+        spilled = benchmark_sweep(*args, repeats=2, dim=300)
         assert mapped[0].endswith("train.idx") and mapped[1].endswith("test.idx")
-        assert [(r.accuracy, r.mistakes, r.selected) for r in spilled] == [
-            (r.accuracy, r.mistakes, r.selected) for r in mem
-        ]
+        assert _row_fields(spilled) == _row_fields(in_memory_sweep(*args, repeats=2, dim=300))
 
     def test_accuracy_rises_with_budget_until_idim(self):
         spec = SyntheticSpec(n_train=2000, n_test=500, dim=500, idim=40, ndim=80, seed=56)
@@ -355,10 +369,25 @@ class TestSweep:
         with pytest.raises(ValueError):
             benchmark_sweep(["sofs"], [10], train, test, repeats=0, dim=300)
 
-    def test_max_in_memory_validated(self):
-        train, test = self.desk_data(seed=58)
-        with pytest.raises(ValueError, match="max_in_memory must be >= 0"):
-            benchmark_sweep(["sofs"], [10], train, test, repeats=1, dim=300, max_in_memory=-5)
+    @pytest.mark.parametrize(
+        "algos,budgets,params,message",
+        [
+            pytest.param(["ogd", "sofs"], [0], {}, "sofs needs B >= 1, got 0", id="budget-0"),
+            pytest.param(["ogd", "nope"], [5], {}, "unknown algorithm 'nope'", id="unknown-algo"),
+            pytest.param(["fofs"], [5], {"eta": 1.0, "lam": 3.0}, "fofs needs lambda * eta <= 1", id="fofs-shrink"),
+            pytest.param(["arow"], [5], {"gamma": 0.0}, "gamma must be positive", id="gamma-0"),
+        ],
+    )
+    def test_bad_arguments_fail_before_any_input_is_read(self, algos, budgets, params, message):
+        read = []
+
+        def stream():
+            read.append(True)
+            yield SEPARABLE[0]
+
+        with pytest.raises(ValueError, match=re.escape(message)):
+            benchmark_sweep(algos, budgets, stream(), stream(), repeats=1, **params)
+        assert read == []
 
     @pytest.mark.parametrize("dim", [0, -5])
     def test_dim_validated(self, dim):
@@ -412,11 +441,10 @@ class TestSweepCache:
 
     # sha256 of every report's algo, B, seed, accuracy, mistakes, sparsity
     # and sorted selected set, as the row cache gave them before it wrote
-    # rows as it read them; each limit must give these reports bit for bit
+    # rows as it read them
     SWEEP_DIGEST = "f7f945ee0bec1783507849b1658bb685fd9c604837e054ec2ae745a20a12b6c3"
 
-    @pytest.mark.parametrize("max_in_memory", [1_000_000, 200, 10, 0])
-    def test_sweep_output_pinned(self, tmp_path, max_in_memory):
+    def test_sweep_output_pinned(self, tmp_path):
         spec = SyntheticSpec(n_train=300, n_test=250, dim=500, idim=20, ndim=40, seed=63)
         train, test, _ = generate_synthetic(spec)
         write_libsvm(train, tmp_path / "train.svm")
@@ -429,7 +457,6 @@ class TestSweepCache:
             2,
             base_seed=5,
             dim=500,
-            max_in_memory=max_in_memory,
         )
         assert len(reports) == 16
         h = hashlib.sha256()
@@ -438,8 +465,7 @@ class TestSweepCache:
             h.update(repr(fields).encode("ascii"))
         assert h.hexdigest() == self.SWEEP_DIGEST
 
-    @pytest.mark.parametrize("max_in_memory", [1_000_000, 10])
-    def test_each_file_parsed_once(self, tmp_path, monkeypatch, max_in_memory):
+    def test_each_file_parsed_once(self, tmp_path, monkeypatch):
         files = self.files(tmp_path)
         parse = data.parse_libsvm_line
         calls = []
@@ -449,15 +475,15 @@ class TestSweepCache:
             return parse(*args)
 
         monkeypatch.setattr(data, "parse_libsvm_line", counting)
-        reports = self.sweep(files, ["sofs", "ogd"], [10, 20], repeats=3, max_in_memory=max_in_memory)
+        reports = self.sweep(files, ["sofs", "ogd"], [10, 20], repeats=3)
         assert len(reports) == 9  # three rows per repeat
         assert len(calls) == self.N_TRAIN + self.N_TEST
 
     def test_spilled_test_file_gives_identical_rows(self, tmp_path):
         files = self.files(tmp_path, seed=61)
-        args = (files, ["sofs", "pet", "ogd"], [5, 15])
-        mem = self.sweep(*args, repeats=2, base_seed=3)
-        spilled = self.sweep(*args, repeats=2, base_seed=3, max_in_memory=self.N_TEST - 1)
+        args = (["sofs", "pet", "ogd"], [5, 15])
+        spilled = self.sweep(files, *args, repeats=2, base_seed=3)
+        mem = in_memory_sweep(*args, *map(read_libsvm, files), repeats=2, base_seed=3, dim=200)
         assert _row_fields(spilled) == _row_fields(mem)
 
     def test_malformed_test_line_fails_before_training(self, tmp_path, monkeypatch):
@@ -491,22 +517,21 @@ class TestSweepCache:
         monkeypatch.setattr(pipeline, "_RowCache", spying)
         if malformed:
             with pytest.raises(LibsvmFormatError):
-                self.sweep(files, ["sofs"], [10], repeats=1, max_in_memory=10)
-            assert spilled == [True]  # the train cache spilled, then the test file failed
+                self.sweep(files, ["sofs"], [10], repeats=1)
+            assert spilled == [True]  # the train cache was written, then the test file failed
         else:
-            self.sweep(files, ["sofs"], [10], repeats=1, max_in_memory=10)
+            self.sweep(files, ["sofs"], [10], repeats=1)
             assert spilled == [True, True]
         assert os.listdir(scratch) == []
 
 
 class TestRowCache:
-    @pytest.mark.parametrize("limit,mapped", [(1_000, False), (7, True), (0, True)])
-    def test_rows_round_trip(self, tmp_path, limit, mapped):
+    def test_rows_round_trip(self, tmp_path):
         rng = np.random.default_rng(62)
         examples = random_stream(rng, 50, 30) + [SparseExample(-1, np.empty(0, np.int64), np.empty(0))]
-        cache = _RowCache(examples, limit, str(tmp_path), "t")
+        cache = _RowCache(examples, str(tmp_path), "t")
         assert len(cache) == len(examples)
-        assert isinstance(cache.indices, np.memmap) == mapped
+        assert isinstance(cache.indices, np.memmap) and isinstance(cache.values, np.memmap)
         order = rng.permutation(len(examples))
         for got, want in zip(cache.rows(order), [examples[i] for i in order]):
             assert type(got.indices) is np.ndarray and type(got.values) is np.ndarray
@@ -517,13 +542,12 @@ class TestRowCache:
 
     def test_only_empty_rows_spill(self, tmp_path):
         empty = [SparseExample(1, np.empty(0, np.int64), np.empty(0))] * 3
-        cache = _RowCache(empty, 1, str(tmp_path), "t")
+        cache = _RowCache(empty, str(tmp_path), "t")
         assert [(ex.label, ex.nnz) for ex in cache.rows()] == [(1, 0)] * 3
 
-    @pytest.mark.parametrize("limit", [1_000, 7, 0])
-    def test_rows_are_read_only_views(self, tmp_path, limit):
+    def test_rows_are_read_only_views(self, tmp_path):
         examples = random_stream(np.random.default_rng(64), 30, 30)
-        cache = _RowCache(examples, limit, str(tmp_path), "t")
+        cache = _RowCache(examples, str(tmp_path), "t")
         for got in cache.rows():
             for arr, whole in ((got.indices, cache.indices), (got.values, cache.values)):
                 assert not arr.flags.writeable
@@ -533,22 +557,23 @@ class TestRowCache:
         examples = random_stream(np.random.default_rng(65), 50, 30)
         opened = []
         monkeypatch.setattr(pipeline, "open", lambda *a, **k: opened.append(a[0]) or open(*a, **k), raising=False)
-        cache = _RowCache(examples, 0, str(tmp_path), "t")
+        cache = _RowCache(examples, str(tmp_path), "t")
         assert sorted(os.path.basename(path) for path in opened) == ["t.idx", "t.val"]
         assert [ex.label for ex in cache.rows()] == [ex.label for ex in examples]
 
-    def test_in_memory_peak_near_one_copy(self, tmp_path):
-        # one copy of the indices and values, plus the buffers' growth slack
+    def test_build_peak_far_below_one_copy(self, tmp_path):
+        # the indices and values go to files as they are read; only labels,
+        # row offsets and one parsed chunk of the input are held in memory
         spec = SyntheticSpec(n_train=4_000, n_test=1, dim=5_000, idim=20, ndim=80, seed=66)
         train, _, _ = generate_synthetic(spec)
         path = tmp_path / "train.svm"
         write_libsvm(train, path)
         tracemalloc.start()
         try:
-            cache = _RowCache(read_libsvm(path), 1_000_000, str(tmp_path), "t")
+            cache = _RowCache(read_libsvm(path), str(tmp_path), "t")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         payload = cache.indices.nbytes + cache.values.nbytes
         assert payload >= 5 * 2**20
-        assert peak <= 1.3 * payload, f"peak {peak / payload:.2f}x the index and value bytes"
+        assert peak <= 0.1 * payload, f"peak {peak / payload:.3f}x the index and value bytes"
