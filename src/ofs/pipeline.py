@@ -207,9 +207,9 @@ class _RowCache:
         self.labels = np.frombuffer(labels, dtype=np.int8)
         self.indptr = np.frombuffer(indptr, dtype=np.int64)
         nnz = indptr[-1]
-        # mapping an empty file fails, and an empty array holds no data anyway
+        # mapping an empty file fails; an empty read-only array stands in
         self.indices, self.values = (
-            np.memmap(path, dtype=dt, mode="r", shape=(nnz,)) if nnz else np.empty(0, dt)
+            np.memmap(path, dtype=dt, mode="r", shape=(nnz,)) if nnz else np.frombuffer(b"", dt)
             for path, dt in zip(paths, (np.int64, np.float64))
         )
 

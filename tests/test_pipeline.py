@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from ofs import data, pipeline
+from ofs.cli import main as cli_main
 from ofs.core import SparseExample
 from ofs.data import DatasetStream, LibsvmFormatError, SyntheticSpec, generate_synthetic, read_libsvm, write_libsvm
 from ofs.learners import ALGOS, ArowModel, make_learner
@@ -444,19 +445,26 @@ class TestSweepCache:
     # rows as it read them
     SWEEP_DIGEST = "f7f945ee0bec1783507849b1658bb685fd9c604837e054ec2ae745a20a12b6c3"
 
-    def test_sweep_output_pinned(self, tmp_path):
+    @staticmethod
+    def cli_sweep(monkeypatch, line):
+        """Run ``ofs sweep`` on ``line`` and return the reports it printed."""
+        sweep, got = pipeline.benchmark_sweep, []
+        monkeypatch.setattr(pipeline, "benchmark_sweep", lambda *a, **k: got.extend(sweep(*a, **k)) or got)
+        assert cli_main(["sweep", *line.split()]) == 0
+        return got
+
+    # ofs sweep accepts --max-in-memory and ignores it: every value must
+    # give these reports bit for bit
+    @pytest.mark.parametrize("max_in_memory", [1_000_000, 200, 10, 0])
+    def test_sweep_output_pinned(self, tmp_path, monkeypatch, capsys, max_in_memory):
         spec = SyntheticSpec(n_train=300, n_test=250, dim=500, idim=20, ndim=40, seed=63)
         train, test, _ = generate_synthetic(spec)
         write_libsvm(train, tmp_path / "train.svm")
         write_libsvm(test, tmp_path / "test.svm")
-        reports = benchmark_sweep(
-            ALGOS,
-            [10, 30],
-            read_libsvm(tmp_path / "train.svm"),
-            read_libsvm(tmp_path / "test.svm"),
-            2,
-            base_seed=5,
-            dim=500,
+        reports = self.cli_sweep(
+            monkeypatch,
+            f"--algos {','.join(ALGOS)} --B 10,30 --train {tmp_path / 'train.svm'} --test {tmp_path / 'test.svm'}"
+            f" --repeats 2 --seed 5 --dim 500 --max-in-memory {max_in_memory}",
         )
         assert len(reports) == 16
         h = hashlib.sha256()
@@ -465,8 +473,9 @@ class TestSweepCache:
             h.update(repr(fields).encode("ascii"))
         assert h.hexdigest() == self.SWEEP_DIGEST
 
-    def test_each_file_parsed_once(self, tmp_path, monkeypatch):
-        files = self.files(tmp_path)
+    @pytest.mark.parametrize("max_in_memory", [1_000_000, 10])
+    def test_each_file_parsed_once(self, tmp_path, monkeypatch, capsys, max_in_memory):
+        train, test = self.files(tmp_path)
         parse = data.parse_libsvm_line
         calls = []
 
@@ -475,7 +484,11 @@ class TestSweepCache:
             return parse(*args)
 
         monkeypatch.setattr(data, "parse_libsvm_line", counting)
-        reports = self.sweep(files, ["sofs", "ogd"], [10, 20], repeats=3)
+        reports = self.cli_sweep(
+            monkeypatch,
+            f"--algos sofs,ogd --B 10,20 --train {train} --test {test} --repeats 3 --dim 200"
+            f" --max-in-memory {max_in_memory}",
+        )
         assert len(reports) == 9  # three rows per repeat
         assert len(calls) == self.N_TRAIN + self.N_TEST
 
@@ -526,12 +539,15 @@ class TestSweepCache:
 
 
 class TestRowCache:
-    def test_rows_round_trip(self, tmp_path):
+    # n random rows, then one row with no nonzeros if empty_last
+    @pytest.mark.parametrize("n,empty_last", [(1_000, False), (7, True), (0, True)])
+    def test_rows_round_trip(self, tmp_path, n, empty_last):
         rng = np.random.default_rng(62)
-        examples = random_stream(rng, 50, 30) + [SparseExample(-1, np.empty(0, np.int64), np.empty(0))]
+        examples = random_stream(rng, n, 30) + [SparseExample(-1, np.empty(0, np.int64), np.empty(0))] * empty_last
         cache = _RowCache(examples, str(tmp_path), "t")
         assert len(cache) == len(examples)
-        assert isinstance(cache.indices, np.memmap) and isinstance(cache.values, np.memmap)
+        # with no nonzeros there is no file to map
+        assert isinstance(cache.indices, np.memmap) == isinstance(cache.values, np.memmap) == (n > 0)
         order = rng.permutation(len(examples))
         for got, want in zip(cache.rows(order), [examples[i] for i in order]):
             assert type(got.indices) is np.ndarray and type(got.values) is np.ndarray
@@ -545,13 +561,17 @@ class TestRowCache:
         cache = _RowCache(empty, str(tmp_path), "t")
         assert [(ex.label, ex.nnz) for ex in cache.rows()] == [(1, 0)] * 3
 
-    def test_rows_are_read_only_views(self, tmp_path):
-        examples = random_stream(np.random.default_rng(64), 30, 30)
+    # n random rows and one row with no nonzeros
+    @pytest.mark.parametrize("n", [1_000, 7, 0])
+    def test_rows_are_read_only_views(self, tmp_path, n):
+        examples = random_stream(np.random.default_rng(64), n, 30) + [SparseExample(1, np.empty(0, np.int64), np.empty(0))]
         cache = _RowCache(examples, str(tmp_path), "t")
-        for got in cache.rows():
+        rows = list(cache.rows())
+        assert len(rows) == n + 1
+        for got in rows:
             for arr, whole in ((got.indices, cache.indices), (got.values, cache.values)):
                 assert not arr.flags.writeable
-                assert np.shares_memory(arr, whole)
+                assert np.shares_memory(arr, whole) or arr.size == 0
 
     def test_spill_files_opened_once(self, tmp_path, monkeypatch):
         examples = random_stream(np.random.default_rng(65), 50, 30)
