@@ -92,54 +92,34 @@ def grown_capacity(n: int) -> int:
 class DenseVector:
     """Contiguous float64 vector that grows on demand and never shrinks.
 
-    Cells created by growth take the configured ``fill`` value (0 for
-    weights, 1 for a covariance diagonal). Cells are read and written
-    through :attr:`array`; only :meth:`ensure` grows the vector.
+    ``array`` is the view of the live cells that reads and writes go
+    through. Only :meth:`ensure` grows the vector, rebinding ``array``; new
+    cells take the ``fill`` value (0 for weights, 1 for a covariance).
     """
 
-    __slots__ = ("_buf", "_live", "fill")
+    __slots__ = ("_buf", "array", "fill")
 
     def __init__(self, size: int = 0, fill: float = 0.0):
         if size < 0:
             raise ValueError("size must be non-negative")
         self.fill = float(fill)
         self._buf = np.full(max(size, 8), self.fill, dtype=np.float64)
-        self._live = self._buf[:size]
-
-    @classmethod
-    def from_array(cls, values, fill: float = 0.0) -> "DenseVector":
-        arr = np.asarray(values, dtype=np.float64)
-        vec = cls(len(arr), fill)
-        vec._live[:] = arr
-        return vec
+        self.array = self._buf[:size]
 
     def __len__(self) -> int:
-        return len(self._live)
-
-    @property
-    def array(self) -> np.ndarray:
-        """View of the live cells; writes go through to the vector."""
-        return self._live
+        return len(self.array)
 
     def ensure(self, n: int) -> None:
         """Grow the live region to at least ``n`` cells."""
-        old = len(self._live)
+        old = len(self.array)
         if n <= old:
             return
         if n > len(self._buf):
             buf = np.full(grown_capacity(n), self.fill, dtype=np.float64)
-            buf[:old] = self._live
+            buf[:old] = self.array
             self._buf = buf
         # slack cells were pre-filled, so extending the live region suffices
-        self._live = self._buf[:n]
-
-    def to_list(self) -> list[float]:
-        return self.array.tolist()
-
-    def __repr__(self) -> str:
-        shown = ", ".join(f"{v:g}" for v in self.array[:8])
-        tail = ", ..." if len(self) > 8 else ""
-        return f"DenseVector([{shown}{tail}], len={len(self)}, fill={self.fill:g})"
+        self.array = self._buf[:n]
 
 
 def sparse_dot(w: DenseVector, x: SparseExample) -> float:

@@ -5,6 +5,9 @@ single labelled instance, mutates the model in place, and returns the raw
 pre-update margin (weights dot features) so callers can count mistakes
 without recomputing the dot product. ``predict`` never mutates.
 
+A step that overflows leaves a non-finite weight or a zero covariance in
+the state; training goes on, but :func:`save_model` refuses to write it.
+
 Learners
 --------
 sofs  second-order update on the touched coordinates, then keep only the
@@ -78,19 +81,10 @@ class OnlineLearner:
     reads: Tuple[str, ...] = ()  # the make_learner keywords the constructor takes
     budgeted = False  # whether the constructor takes a budget B first
     budget: Optional[int] = None
-
-    @property
-    def weights(self) -> DenseVector:
-        raise NotImplementedError
-
-    def raw_margin(self, ex: SparseExample) -> float:
-        return sparse_dot(self.weights, ex)
+    weights: DenseVector  # the weights; the means for a second-order learner
 
     def predict(self, ex: SparseExample) -> int:
         return 1 if sparse_dot(self.weights, ex) >= 0.0 else -1
-
-    def update(self, ex: SparseExample) -> float:
-        raise NotImplementedError
 
     def nonzero_count(self) -> int:
         return int(np.count_nonzero(self.weights.array))
@@ -124,25 +118,21 @@ class OnlineLearner:
 
 
 class _SecondOrder(OnlineLearner):
-    """Mean/covariance state shared by the sofs and arow learners.
+    """State shared by sofs and arow: means ``weights``, covariances ``sigma``.
 
-    The covariance diagonal starts at 1 for every coordinate and can only
-    shrink, and only when the coordinate is touched by an update.
+    A covariance starts at 1 and shrinks only when its coordinate is
+    touched. It stays in (0, 1] unless ``sigma * x**2`` overflows, giving 0.
     """
 
     reads = ("gamma",)
 
     def __init__(self, gamma: float = 1.0):
         self.gamma = _check_hyperparam("gamma", gamma)
-        self.mu = DenseVector(fill=0.0)
+        self.weights = DenseVector(fill=0.0)
         self.sigma = DenseVector(fill=1.0)
 
-    @property
-    def weights(self) -> DenseVector:
-        return self.mu
-
     def _state(self) -> Tuple[DenseVector, ...]:
-        return (self.mu, self.sigma)
+        return (self.weights, self.sigma)
 
     def _arow_step(self, idx: np.ndarray, vals: np.ndarray, y: int, margin: float, wi: np.ndarray) -> np.ndarray:
         """Closed-form second-order update on the active coordinates.
@@ -160,7 +150,7 @@ class _SecondOrder(OnlineLearner):
         sx = sig[idx]
         sxv = sx * vals
         c = -0.5 * squared_hinge_slope(margin, y) / (float(sxv.dot(vals)) + gamma)
-        self.mu.array[idx] = wi + c * sxv
+        self.weights.array[idx] = wi + c * sxv
         new_sig = sx * gamma / (gamma + sxv * vals)
         sig[idx] = new_sig
         return new_sig
@@ -207,22 +197,18 @@ class SofsModel(_SecondOrder):
         new_sig = self._arow_step(ex.indices, ex.values, y, margin, wi)
         dropped = self.tracker.select(ex.indices, new_sig)
         if len(dropped):
-            self.mu.array[dropped] = 0.0
+            self.weights.array[dropped] = 0.0
         return margin
 
 
 class FirstOrderModel(OnlineLearner):
-    """Dense weight vector with a constant learning rate."""
+    """Dense weight vector ``weights`` with a constant learning rate."""
 
     reads = ("eta",)
 
     def __init__(self, eta: float = 0.2):
         self.eta = _check_hyperparam("eta", eta)
-        self.w = DenseVector(fill=0.0)
-
-    @property
-    def weights(self) -> DenseVector:
-        return self.w
+        self.weights = DenseVector(fill=0.0)
 
 
 class PetModel(FirstOrderModel):
@@ -239,14 +225,14 @@ class PetModel(FirstOrderModel):
     def __init__(self, budget: int, eta: float = 0.2):
         self.budget = _check_budget(self.algo, budget)
         super().__init__(eta=eta)
-        w = self.w
+        w = self.weights
         self.tracker = TopBTracker(self.budget, lambda ix: -np.abs(w.array[ix]))
 
     def update(self, ex: SparseExample) -> float:
         margin, wi = self._grown_margin(ex)
         y = ex.label
         if (1 if margin >= 0.0 else -1) != y:
-            a = self.w.array
+            a = self.weights.array
             new_w = wi + self.eta * y * ex.values
             a[ex.indices] = new_w
             dropped = self.tracker.select(ex.indices, -np.abs(new_w))
@@ -282,14 +268,14 @@ class FofsModel(FirstOrderModel):
         margin, _ = self._grown_margin(ex)
         y = ex.label
         if (1 if margin >= 0.0 else -1) != y:
-            a = self.w.array
+            a = self.weights.array
             a *= 1.0 - self.lam * self.eta
             a[ex.indices] += self.eta * y * ex.values
             radius = 1.0 / math.sqrt(self.lam)
             norm = float(np.linalg.norm(a))
             if norm > radius:
                 a *= radius / norm
-            truncate(self.w, self.budget)
+            truncate(self.weights, self.budget)
         return margin
 
 
@@ -311,7 +297,7 @@ class OgdModel(FirstOrderModel):
         y = ex.label
         if y * margin < 1.0 and len(wi):
             step = self.eta / math.sqrt(self.t)
-            self.w.array[ex.indices] = wi + step * y * ex.values
+            self.weights.array[ex.indices] = wi + step * y * ex.values
         return margin
 
 
@@ -348,18 +334,28 @@ def make_learner(
     return cls(budget, **kwargs) if cls.budgeted else cls(**kwargs)
 
 
+def _values_ok(w: np.ndarray, *covariances: np.ndarray) -> np.ndarray:
+    """Per model body row, the value rules :func:`save_model` and
+    :func:`load_model` share: a finite weight, each covariance in (0, 1]."""
+    ok = np.isfinite(w)
+    for s in covariances:
+        ok &= (s > 0.0) & (s <= 1.0)  # NaN fails too
+    return ok
+
+
 def save_model(model: OnlineLearner, path) -> None:
     """Write a model as text: a header line, then one line per coordinate.
 
     Header: ``OFSMODEL v1 <algo> <d> <B> key=value ...`` with B = 0 for
     learners without a budget. Each body line is ``idx`` followed by the
-    coordinate's value in every state vector: ``idx mu sigma`` for
-    second-order models, ``idx w`` for first-order ones. A coordinate is
-    stored where any state vector differs from its fill (a nonzero weight
-    or mean, a covariance below 1), and ``sofs`` and ``pet`` also store
+    coordinate's value in every state vector: ``idx weight sigma`` for
+    second-order models, ``idx weight`` for first-order ones. A coordinate
+    is stored where any state vector differs from its fill (a nonzero
+    weight, a covariance below 1), and ``sofs`` and ``pet`` also store
     every kept feature, even one whose state equals an untouched one.
     Floats are written with repr so a reload reproduces predictions bit
-    for bit.
+    for bit. A state :func:`load_model` would reject raises ``ValueError``,
+    naming the first bad coordinate, before ``path`` is opened.
     """
     params = " ".join(f"{k}={v!r}" for k, v in model.hyperparams().items())
     budget = model.budget or 0
@@ -371,7 +367,13 @@ def save_model(model: OnlineLearner, path) -> None:
         # a kept feature can hold the state of an untouched one
         stored[model.tracker.indices()] = True
     j = np.flatnonzero(stored)
-    columns = [j.tolist()] + [vec.array[j].tolist() for vec in state]
+    values = [vec.array[j] for vec in state]
+    ok = _values_ok(*values)
+    if not ok.all():
+        k = int(np.argmin(ok))
+        held = " and ".join(f"{name} {float(v[k])!r}" for name, v in zip(("weight", "covariance"), values))
+        raise ValueError(f"cannot save {path}: coordinate {j[k]} holds {held}, which load_model would reject")
+    columns = [j.tolist()] + [v.tolist() for v in values]
     lines += map(" ".join, zip(*(map(repr, column) for column in columns)))
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -440,14 +442,12 @@ def _read_body(fh, d: int, width: int):
             rows = np.loadtxt(fh, dtype=dtype, comments=None, ndmin=1)
     except (ValueError, Warning):
         return None
-    j, w, *covariances = (rows[name] for name in dtype.names)
-    ok = ((j >= 0) & (j < d) & np.isfinite(w)).all()
-    for s in covariances:
-        ok &= ((s > 0.0) & (s <= 1.0)).all()
+    j, *values = (rows[name] for name in dtype.names)
+    ok = ((j >= 0) & (j < d) & _values_ok(*values)).all()
     keys = np.sort(j)  # np.unique hashes on numpy 2.x and costs over ten times as much
     if not ok or (keys[1:] == keys[:-1]).any():
         return None
-    return (j, keys, w, *covariances)
+    return (j, keys, *values)
 
 
 def _scan_body(path, d: int, width: int):
@@ -527,5 +527,5 @@ def load_model(path) -> OnlineLearner:
         tracker = model.tracker
         model.weights.array[tracker.select(keys, tracker.score(keys))] = 0.0
     elif isinstance(model, FofsModel):
-        truncate(model.w, model.budget)
+        truncate(model.weights, model.budget)
     return model

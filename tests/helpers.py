@@ -22,6 +22,13 @@ from ofs.learners import (
 from ofs.pipeline import RunReport, evaluate, train_stream
 
 
+def dense_vector(values) -> DenseVector:
+    """A weight :class:`DenseVector` holding ``values``."""
+    vec = DenseVector(len(values))
+    vec.array[:] = values
+    return vec
+
+
 def random_example(rng: np.random.Generator, d: int, max_nnz: int = 12) -> SparseExample:
     k = int(rng.integers(1, max_nnz + 1))
     k = min(k, d)
@@ -76,13 +83,13 @@ class SortSelectSofs:
 
     @property
     def weights(self):
-        return self.inner.mu
+        return self.inner.weights
 
     def update(self, ex: SparseExample) -> float:
         margin = self.inner.update(ex)
         if ex.label * margin >= 1.0 or len(ex.indices) == 0:
             return margin
-        n = len(self.inner.mu)
+        n = len(self.inner.weights)
         if len(self._touched) < n:
             grown = np.zeros(n, dtype=bool)
             grown[: len(self._touched)] = self._touched
@@ -92,7 +99,7 @@ class SortSelectSofs:
         if len(touched) > self.budget:
             sig = self.inner.sigma.array[touched]
             order = np.argsort(sig, kind="stable")  # ties keep the lower index
-            self.inner.mu.array[touched[order[self.budget :]]] = 0.0
+            self.inner.weights.array[touched[order[self.budget :]]] = 0.0
         return margin
 
 
@@ -136,8 +143,8 @@ class TruncatePet(FirstOrderModel):
         margin, _ = self._grown_margin(ex)
         y = ex.label
         if (1 if margin >= 0.0 else -1) != y:
-            self.w.array[ex.indices] += self.eta * y * ex.values
-            dense_truncate(self.w, self.budget)
+            self.weights.array[ex.indices] += self.eta * y * ex.values
+            dense_truncate(self.weights, self.budget)
         return margin
 
 
@@ -175,7 +182,7 @@ def _plain_arow_step(model, idx: np.ndarray, vals: np.ndarray, y: int, margin: f
     sx = sig[idx]
     sxv = sx * vals
     c = -0.5 * squared_hinge_slope(margin, y) / (float(sxv @ vals) + gamma)
-    model.mu.array[idx] += c * sxv
+    model.weights.array[idx] += c * sxv
     new_sig = sx * gamma / (gamma + sxv * vals)
     sig[idx] = new_sig
     return new_sig
@@ -199,7 +206,7 @@ class PlainSofs(SofsModel):
         new_sig = _plain_arow_step(self, ex.indices, ex.values, y, margin)
         dropped = self.tracker.select(ex.indices, new_sig)
         if len(dropped):
-            self.mu.array[dropped] = 0.0
+            self.weights.array[dropped] = 0.0
         return margin
 
 
@@ -208,7 +215,7 @@ class PlainPet(PetModel):
         margin = _plain_margin(self, ex)
         y = ex.label
         if (1 if margin >= 0.0 else -1) != y:
-            a = self.w.array
+            a = self.weights.array
             a[ex.indices] += self.eta * y * ex.values
             dropped = self.tracker.select(ex.indices, -np.abs(a[ex.indices]))
             if len(dropped):
@@ -221,14 +228,14 @@ class PlainFofs(FofsModel):
         margin = _plain_margin(self, ex)
         y = ex.label
         if (1 if margin >= 0.0 else -1) != y:
-            a = self.w.array
+            a = self.weights.array
             a *= 1.0 - self.lam * self.eta
             a[ex.indices] += self.eta * y * ex.values
             radius = 1.0 / math.sqrt(self.lam)
             norm = float(np.linalg.norm(a))
             if norm > radius:
                 a *= radius / norm
-            dense_truncate(self.w, self.budget)
+            dense_truncate(self.weights, self.budget)
         return margin
 
 
@@ -239,7 +246,7 @@ class PlainOgd(OgdModel):
         y = ex.label
         if y * margin < 1.0 and len(ex.indices):
             step = self.eta / math.sqrt(self.t)
-            self.w.array[ex.indices] += step * y * ex.values
+            self.weights.array[ex.indices] += step * y * ex.values
         return margin
 
 

@@ -18,7 +18,7 @@ from ofs.data import SyntheticSpec, generate_synthetic, read_libsvm, write_libsv
 from ofs.learners import make_learner, load_model, save_model
 from ofs.pipeline import CvGrid, benchmark_sweep, cross_validate, evaluate, train_stream
 
-from helpers import SortSelectSofs, bulk_stream, in_memory_sweep, random_stream
+from helpers import SortSelectSofs, bulk_stream, dense_vector, in_memory_sweep, random_stream
 
 
 @pytest.mark.acceptance("01", "top-B selection matches sort-based reference on 100 streams")
@@ -98,13 +98,13 @@ def test_covariance_monotone():
 
 @pytest.mark.acceptance("04", "loss gradient matches central finite differences (rel err < 1e-5)")
 def test_gradient_against_finite_differences():
-    from ofs.core import DenseVector, squared_hinge, squared_hinge_slope
+    from ofs.core import squared_hinge, squared_hinge_slope
 
     rng = np.random.default_rng(43)
     eps = 1e-6
     checked = 0
     while checked < 10:
-        w = DenseVector.from_array(rng.uniform(-1.0, 1.0, size=8))
+        w = dense_vector(rng.uniform(-1.0, 1.0, size=8))
         pairs = [(i, float(v)) for i, v in enumerate(rng.standard_normal(8))]
         x = SparseExample.from_pairs(1, pairs)
         y = 1 if rng.random() < 0.5 else -1
@@ -113,8 +113,8 @@ def test_gradient_against_finite_differences():
         # the slope the second-order step scales, times x: the gradient in w
         g = squared_hinge_slope(sparse_dot(w, x), y) * x.values
         for k, j in enumerate(x.indices.tolist()):
-            wp = DenseVector.from_array(w.array)
-            wm = DenseVector.from_array(w.array)
+            wp = dense_vector(w.array)
+            wm = dense_vector(w.array)
             wp.array[j] += eps
             wm.array[j] -= eps
             num = (squared_hinge(wp, x, y) - squared_hinge(wm, x, y)) / (2 * eps)

@@ -8,6 +8,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ofs import data, learners, pipeline
@@ -375,6 +376,28 @@ class TestDataErrors:
         )
         assert code == 1
         assert "nan" in err
+        assert not model.exists()
+
+    @pytest.mark.parametrize(
+        "text,argv,held",
+        [
+            pytest.param("-1 1:2\n+1 2:1.0\n", ["--algo", "ogd", "--eta", "1e308"], "weight -inf", id="ogd"),
+            pytest.param(
+                "+1 1:1e200\n-1 2:1.0\n", ["--algo", "sofs", "--B", "2"], "weight 0.0 and covariance 0.0", id="sofs"
+            ),
+            pytest.param("+1 1:1e200\n-1 2:1.0\n", ["--algo", "arow"], "weight 0.0 and covariance 0.0", id="arow"),
+        ],
+    )
+    def test_model_that_eval_would_reject_exits_one(self, tmp_path, capsys, text, argv, held):
+        # a step overflows: ogd's weight to -inf, sofs' and arow's covariance to 0
+        data = tmp_path / "d.svm"
+        data.write_text(text)
+        model = tmp_path / "m"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, out, err = run(capsys, "train", *argv, "--data", str(data), "--model", str(model))
+        assert code == 1
+        assert err == f"ofs: cannot save {model}: coordinate 0 holds {held}, which load_model would reject\n"
+        assert out == ""
         assert not model.exists()
 
     @pytest.mark.parametrize("command", ["train", "sweep", "cv"])

@@ -10,6 +10,8 @@ from ofs.core import (
 )
 from ofs.learners import OgdModel
 
+from helpers import dense_vector
+
 
 def ex(label, *pairs):
     return SparseExample.from_pairs(label, pairs)
@@ -85,7 +87,7 @@ class TestSparseExample:
 class TestDenseVector:
     def test_initial_fill(self):
         v = DenseVector(3, fill=1.0)
-        assert v.to_list() == [1.0, 1.0, 1.0]
+        assert v.array.tolist() == [1.0, 1.0, 1.0]
         assert len(v) == 3
 
     def test_ensure_grows_with_fill(self):
@@ -120,11 +122,11 @@ class TestDenseVector:
     def test_array_is_live_view(self):
         v = DenseVector(3)
         v.array[1] = 9.0
-        assert v.to_list() == [0.0, 9.0, 0.0]
+        assert v.array.tolist() == [0.0, 9.0, 0.0]
 
     def test_from_array(self):
-        v = DenseVector.from_array([1.0, 2.0])
-        assert v.to_list() == [1.0, 2.0]
+        v = dense_vector([1.0, 2.0])
+        assert v.array.tolist() == [1.0, 2.0]
 
 
 class TestSparseDot:
@@ -132,28 +134,28 @@ class TestSparseDot:
         assert sparse_dot(DenseVector(3), ex(1, (1, 2.0))) == 0.0
 
     def test_hand_value(self):
-        w = DenseVector.from_array([1.0, 2.0, 3.0])
+        w = dense_vector([1.0, 2.0, 3.0])
         assert sparse_dot(w, ex(1, (0, 1.0), (2, -1.0))) == -2.0
 
     def test_out_of_range_contributes_zero(self):
-        w = DenseVector.from_array([0.5])
+        w = dense_vector([0.5])
         assert sparse_dot(w, ex(1, (5, 3.0))) == 0.0
         assert len(w) == 1  # not grown
 
     def test_partial_overlap(self):
-        w = DenseVector.from_array([2.0, 0.0, 1.0])
+        w = dense_vector([2.0, 0.0, 1.0])
         assert sparse_dot(w, ex(1, (0, 1.0), (2, 1.0), (7, 100.0))) == 3.0
 
     def test_empty_example(self):
-        assert sparse_dot(DenseVector.from_array([1.0]), ex(1)) == 0.0
+        assert sparse_dot(dense_vector([1.0]), ex(1)) == 0.0
 
     def test_linearity(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
-            w1 = DenseVector.from_array(rng.standard_normal(10))
-            w2 = DenseVector.from_array(rng.standard_normal(10))
+            w1 = dense_vector(rng.standard_normal(10))
+            w2 = dense_vector(rng.standard_normal(10))
             a, b = rng.standard_normal(2)
-            combo = DenseVector.from_array(a * w1.array + b * w2.array)
+            combo = dense_vector(a * w1.array + b * w2.array)
             x = ex(1, *((i, v) for i, v in enumerate(rng.standard_normal(10)) if v != 0.0))
             lhs = sparse_dot(combo, x)
             rhs = a * sparse_dot(w1, x) + b * sparse_dot(w2, x)
@@ -166,21 +168,21 @@ class TestPredict:
     @staticmethod
     def predict(weights, x):
         m = OgdModel()
-        m.w = weights
+        m.weights = weights
         return m.predict(x)
 
     def test_positive(self):
-        assert self.predict(DenseVector.from_array([1.0]), ex(1, (0, 1.0))) == 1
+        assert self.predict(dense_vector([1.0]), ex(1, (0, 1.0))) == 1
 
     def test_negative(self):
-        assert self.predict(DenseVector.from_array([1.0]), ex(1, (0, -1.0))) == -1
+        assert self.predict(dense_vector([1.0]), ex(1, (0, -1.0))) == -1
 
     def test_sign_zero_is_plus_one(self):
         assert self.predict(DenseVector(1), ex(1, (0, 5.0))) == 1
 
     def test_always_in_label_set(self):
         rng = np.random.default_rng(4)
-        w = DenseVector.from_array(rng.standard_normal(8))
+        w = dense_vector(rng.standard_normal(8))
         for _ in range(50):
             x = ex(1, *((i, float(v)) for i, v in enumerate(rng.standard_normal(8))))
             assert self.predict(w, x) in (-1, 1)
@@ -191,17 +193,17 @@ class TestLosses:
         assert squared_hinge(DenseVector(2), ex(1, (0, 3.0)), 1) == 1.0
 
     def test_squared_hinge_margin_beyond_one(self):
-        w = DenseVector.from_array([2.0])
+        w = dense_vector([2.0])
         assert squared_hinge(w, ex(1, (0, 1.0)), 1) == 0.0
 
     def test_squared_hinge_half_margin(self):
-        w = DenseVector.from_array([0.5])
+        w = dense_vector([0.5])
         assert squared_hinge(w, ex(1, (0, 1.0)), 1) == 0.25
 
     def test_nonnegative_and_zero_iff_margin_ge_one(self):
         rng = np.random.default_rng(5)
         for _ in range(100):
-            w = DenseVector.from_array(rng.standard_normal(6))
+            w = dense_vector(rng.standard_normal(6))
             x = ex(1, *((i, float(v)) for i, v in enumerate(rng.standard_normal(6))))
             y = 1 if rng.random() < 0.5 else -1
             loss = squared_hinge(w, x, y)
@@ -213,15 +215,15 @@ class TestLosses:
         rng = np.random.default_rng(6)
         eps = 1e-6
         for _ in range(10):
-            w = DenseVector.from_array(rng.uniform(-1.0, 1.0, size=5))
+            w = dense_vector(rng.uniform(-1.0, 1.0, size=5))
             x = ex(1, *((i, float(v)) for i, v in enumerate(rng.standard_normal(5))))
             y = 1 if rng.random() < 0.5 else -1
             if abs(1.0 - y * sparse_dot(w, x)) < 1e-3:
                 continue  # kink of the hinge; gradient undefined nearby
             g = squared_hinge_slope(sparse_dot(w, x), y) * x.values
             for k, j in enumerate(x.indices.tolist()):
-                wp = DenseVector.from_array(w.array)
-                wm = DenseVector.from_array(w.array)
+                wp = dense_vector(w.array)
+                wm = dense_vector(w.array)
                 wp.array[j] += eps
                 wm.array[j] -= eps
                 num = (squared_hinge(wp, x, y) - squared_hinge(wm, x, y)) / (2 * eps)

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from ofs import learners
-from ofs.core import DenseVector, SparseExample, sparse_dot
+from ofs.core import SparseExample, sparse_dot
 from ofs.learners import (
     ALGOS,
     BUDGETED,
@@ -32,6 +33,7 @@ from helpers import (
     SortSelectSofs,
     TruncatePet,
     dense_truncate,
+    dense_vector,
     plain_dot,
     plain_learner,
     random_stream,
@@ -86,36 +88,36 @@ def draw_model_file(data, junk):
 
 class TestTruncate:
     def test_magnitude_ordering(self):
-        w = DenseVector.from_array([3.0, -5.0, 2.0])
+        w = dense_vector([3.0, -5.0, 2.0])
         truncate(w, 2)
-        assert w.to_list() == [3.0, -5.0, 0.0]
+        assert w.array.tolist() == [3.0, -5.0, 0.0]
 
     def test_under_budget_unchanged(self):
-        w = DenseVector.from_array([1.0, 0.0, 2.0])
+        w = dense_vector([1.0, 0.0, 2.0])
         truncate(w, 2)
-        assert w.to_list() == [1.0, 0.0, 2.0]
+        assert w.array.tolist() == [1.0, 0.0, 2.0]
 
     def test_tie_keeps_lower_index(self):
-        w = DenseVector.from_array([1.0, 1.0, 1.0])
+        w = dense_vector([1.0, 1.0, 1.0])
         truncate(w, 2)
-        assert w.to_list() == [1.0, 1.0, 0.0]
+        assert w.array.tolist() == [1.0, 1.0, 0.0]
 
     def test_idempotent(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
-            w = DenseVector.from_array(rng.standard_normal(20))
+            w = dense_vector(rng.standard_normal(20))
             b = int(rng.integers(1, 21))
             truncate(w, b)
-            once = w.to_list()
+            once = w.array.tolist()
             truncate(w, b)
-            assert w.to_list() == once
+            assert w.array.tolist() == once
             assert int(np.count_nonzero(w.array)) <= b
 
     def test_kept_dominate_zeroed(self):
         rng = np.random.default_rng(12)
         for _ in range(50):
             orig = rng.standard_normal(15)
-            w = DenseVector.from_array(orig)
+            w = dense_vector(orig)
             truncate(w, 5)
             kept = np.abs(orig[w.array != 0.0])
             dropped = np.abs(orig[(w.array == 0.0) & (orig != 0.0)])
@@ -124,7 +126,7 @@ class TestTruncate:
 
     def test_bad_budget(self):
         with pytest.raises(ValueError):
-            truncate(DenseVector.from_array([1.0]), 0)
+            truncate(dense_vector([1.0]), 0)
 
     @settings(max_examples=500, deadline=None)
     @given(
@@ -144,7 +146,7 @@ class TestTruncate:
     @example(values=[5e-324, -5e-324, -0.0, 5e-324], budget=2)
     def test_bytes_equal_dense_reference(self, values, budget):
         # ranking only the nonzero entries keeps the dense result, -0.0 included
-        got, want = DenseVector.from_array(values), DenseVector.from_array(values)
+        got, want = dense_vector(values), dense_vector(values)
         truncate(got, budget)
         dense_truncate(want, budget)
         assert got.array.tobytes() == want.array.tobytes()
@@ -154,31 +156,31 @@ class TestArow:
     def test_single_feature_step(self):
         m = ArowModel(gamma=1.0)
         m.update(ex(1, (0, 1.0)))
-        assert m.mu.array[0] == 0.5
+        assert m.weights.array[0] == 0.5
         assert m.sigma.array[0] == 0.5
 
     def test_two_feature_step(self):
         m = ArowModel(gamma=1.0)
         m.update(ex(-1, (0, 1.0), (1, 1.0)))
-        assert m.mu.array[0] == pytest.approx(-1.0 / 3.0)
-        assert m.mu.array[1] == pytest.approx(-1.0 / 3.0)
+        assert m.weights.array[0] == pytest.approx(-1.0 / 3.0)
+        assert m.weights.array[1] == pytest.approx(-1.0 / 3.0)
         assert m.sigma.array[0] == 0.5
         assert m.sigma.array[1] == 0.5
 
     def test_zero_loss_no_change(self):
         m = ArowModel()
         m.update(ex(1, (0, 1.0)))
-        mu = m.mu.to_list()
-        sig = m.sigma.to_list()
+        mu = m.weights.array.tolist()
+        sig = m.sigma.array.tolist()
         m.update(ex(1, (0, 2.5)))  # margin 1.25, squared hinge 0
-        assert m.mu.to_list() == mu
-        assert m.sigma.to_list() == sig
+        assert m.weights.array.tolist() == mu
+        assert m.sigma.array.tolist() == sig
 
     def test_update_returns_pre_update_margin(self):
         rng = np.random.default_rng(13)
         m = ArowModel()
         for x in random_stream(rng, 200, 40):
-            expect = sparse_dot(m.mu, x)
+            expect = sparse_dot(m.weights, x)
             assert m.update(x) == expect
 
     def test_gamma_validation(self):
@@ -202,11 +204,11 @@ class TestSofs:
     def test_budget_one_trace(self):
         m = SofsModel(budget=1, gamma=1.0)
         m.update(ex(1, (0, 1.0)))
-        assert m.mu.to_list() == [0.5]
+        assert m.weights.array.tolist() == [0.5]
         assert m.sigma.array[0] == 0.5
         assert m.tracker.indices() == [0]
         m.update(ex(1, (1, 2.0)))
-        assert m.mu.to_list() == [0.0, pytest.approx(0.4)]
+        assert m.weights.array.tolist() == [0.0, pytest.approx(0.4)]
         assert m.sigma.array[1] == pytest.approx(0.2)
         assert m.tracker.indices() == [1]
         assert m.nonzero_count() == 1
@@ -214,15 +216,15 @@ class TestSofs:
     def test_zero_loss_no_change(self):
         m = SofsModel(budget=2)
         m.update(ex(1, (0, 1.0)))
-        snapshot = (m.mu.to_list(), m.sigma.to_list(), kept_sigmas(m))
+        snapshot = (m.weights.array.tolist(), m.sigma.array.tolist(), kept_sigmas(m))
         m.update(ex(1, (0, 3.0)))
-        assert (m.mu.to_list(), m.sigma.to_list(), kept_sigmas(m)) == snapshot
+        assert (m.weights.array.tolist(), m.sigma.array.tolist(), kept_sigmas(m)) == snapshot
 
     def test_single_feature_never_zeroed(self):
         m = SofsModel(budget=1)
         for _ in range(20):
             m.update(ex(1, (0, 0.5)))
-        assert m.mu.array[0] != 0.0
+        assert m.weights.array[0] != 0.0
         assert m.tracker.indices() == [0]
 
     def test_budget_requires_positive(self):
@@ -237,8 +239,8 @@ class TestSofs:
         arow = ArowModel(gamma=0.7)
         for x in stream:
             assert sofs.update(x) == arow.update(x)
-        assert sofs.mu.to_list() == arow.mu.to_list()
-        assert sofs.sigma.to_list() == arow.sigma.to_list()
+        assert sofs.weights.array.tolist() == arow.weights.array.tolist()
+        assert sofs.sigma.array.tolist() == arow.sigma.array.tolist()
 
     @pytest.mark.parametrize("budget", [1, 5, 20])
     def test_matches_sort_reference(self, budget):
@@ -251,7 +253,7 @@ class TestSofs:
             ref = SortSelectSofs(budget=budget)
             for x in random_stream(rng, 300, d):
                 assert sofs.update(x) == ref.update(x)
-                assert sofs.mu.to_list() == ref.weights.to_list()
+                assert sofs.weights.array.tolist() == ref.weights.array.tolist()
 
     @pytest.mark.parametrize("budget", [1, 5, 20])
     def test_tied_values_match_sort_reference(self, budget):
@@ -262,7 +264,7 @@ class TestSofs:
         ref = SortSelectSofs(budget=budget)
         for x in tied_stream(rng, 1500, 200, 8):
             assert sofs.update(x) == ref.update(x)
-            assert np.array_equal(sofs.mu.array, ref.weights.array)
+            assert np.array_equal(sofs.weights.array, ref.weights.array)
 
     def test_touches_only_example_and_evicted_coordinates(self):
         rng = np.random.default_rng(17)
@@ -270,7 +272,7 @@ class TestSofs:
         prev = np.zeros(0)
         for x in random_stream(rng, 300, 60, max_nnz=8):
             m.update(x)
-            cur = m.mu.array.copy()
+            cur = m.weights.array.copy()
             if len(prev) < len(cur):
                 grown = np.zeros(len(cur))
                 grown[: len(prev)] = prev
@@ -317,7 +319,7 @@ class TestPet:
     def test_mistake_step_and_truncation(self):
         m = PetModel(budget=1, eta=1.0)
         m.update(ex(-1, (0, 1.0), (1, 2.0)))
-        assert m.w.to_list() == [0.0, -2.0]
+        assert m.weights.array.tolist() == [0.0, -2.0]
 
     def test_budget_invariant_randomized(self):
         rng = np.random.default_rng(20)
@@ -349,23 +351,23 @@ class TestPet:
         pet, ref = PetModel(budget=budget), TruncatePet(budget=budget)
         for x in stream:
             assert pet.update(x) == ref.update(x)
-            assert np.array_equal(pet.w.array, ref.w.array)
+            assert np.array_equal(pet.weights.array, ref.weights.array)
 
 
 class TestFofs:
     def test_projection_boundary_case(self):
         m = FofsModel(budget=1, eta=0.1, lam=4.0)
-        m.w.ensure(1)
-        m.w.array[0] = 1.0
+        m.weights.ensure(1)
+        m.weights.array[0] = 1.0
         m.update(ex(-1, (0, 1.0)))
-        assert m.w.to_list() == [0.5]
+        assert m.weights.array.tolist() == [0.5]
 
     def test_correct_prediction_no_update(self):
         m = FofsModel(budget=1, eta=0.1, lam=4.0)
-        m.w.ensure(1)
-        m.w.array[0] = 1.0
+        m.weights.ensure(1)
+        m.weights.array[0] = 1.0
         m.update(ex(1, (0, 1.0)))
-        assert m.w.to_list() == [1.0]
+        assert m.weights.array.tolist() == [1.0]
 
     def test_ball_and_budget_invariants_randomized(self):
         rng = np.random.default_rng(21)
@@ -375,7 +377,7 @@ class TestFofs:
             radius = 1.0 / np.sqrt(lam)
             for x in random_stream(rng, 1000, 40):
                 m.update(x)
-                assert float(np.linalg.norm(m.w.array)) <= radius + 1e-12
+                assert float(np.linalg.norm(m.weights.array)) <= radius + 1e-12
                 assert m.nonzero_count() <= 6
 
     @pytest.mark.parametrize("seed", range(4))
@@ -400,8 +402,8 @@ class TestFofs:
             k = len(x.indices)
             x = SparseExample(x.label, x.indices, rng.choice([-1.0, 1.0], k) * rng.choice(levels, k))
             assert np.float64(model.update(x)).tobytes() == np.float64(plain.update(x)).tobytes()
-            a = plain.w.array
-            assert model.w.array.tobytes() == a.tobytes()
+            a = plain.weights.array
+            assert model.weights.array.tobytes() == a.tobytes()
             kept_negative_zeros += int(np.count_nonzero(np.signbit(a[a == 0.0])))
         assert any(cuts) and kept_negative_zeros > 0
 
@@ -422,21 +424,21 @@ class TestFofs:
         m = make_learner("fofs", 5, eta=1.0, lam=1.0)
         for x in (ex(-1, (2, 1.0)), ex(-1, (3, 1.0))):
             m.update(x)
-        assert m.w.to_list() == [0.0, 0.0, 0.0, -1.0]
+        assert m.weights.array.tolist() == [0.0, 0.0, 0.0, -1.0]
 
 
 class TestOgd:
     def test_first_step(self):
         m = OgdModel(eta=1.0)
         m.update(ex(1, (0, 1.0)))
-        assert m.w.to_list() == [1.0]
+        assert m.weights.array.tolist() == [1.0]
         assert m.t == 1
 
     def test_margin_beyond_one_no_step_but_t_advances(self):
         m = OgdModel(eta=1.0)
         m.update(ex(1, (0, 1.0)))
         m.update(ex(1, (0, 2.0)))  # margin 2, no step
-        assert m.w.to_list() == [1.0]
+        assert m.weights.array.tolist() == [1.0]
         assert m.t == 2
 
     def test_step_decays_as_sqrt_t(self):
@@ -446,7 +448,7 @@ class TestOgd:
         m4 = OgdModel(eta=1.0)
         m4.t = 3
         m4.update(ex(1, (0, 1.0)))
-        assert m4.w.array[0] == pytest.approx(1.0 / 2.0)  # eta / sqrt(4)
+        assert m4.weights.array[0] == pytest.approx(1.0 / 2.0)  # eta / sqrt(4)
 
     def test_eta_zero_is_legal_and_inert(self):
         m = OgdModel(eta=0.0)
@@ -575,7 +577,7 @@ class TestPlainFormEquality:
         second = hasattr(model, "sigma")
         for x in growing_stream(rng, 600):
             assert model.predict(x) == (1 if plain_dot(plain.weights, x) >= 0.0 else -1)
-            assert np.float64(model.raw_margin(x)).tobytes() == np.float64(plain_dot(plain.weights, x)).tobytes()
+            assert np.float64(sparse_dot(model.weights, x)).tobytes() == np.float64(plain_dot(plain.weights, x)).tobytes()
             got, want = model.update(x), plain.update(x)
             assert np.float64(got).tobytes() == np.float64(want).tobytes()
             assert model.weights.array.tobytes() == plain.weights.array.tobytes()
@@ -602,35 +604,51 @@ class TestPersistence:
         assert loaded.hyperparams() == m.hyperparams()
         for x in random_stream(rng, 200, 80):
             assert loaded.predict(x) == m.predict(x)
-            assert loaded.raw_margin(x) == m.raw_margin(x)
+            assert sparse_dot(loaded.weights, x) == sparse_dot(m.weights, x)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_round_trip_is_bit_equal(self, data):
-        # after any stream, values drawn from {-1, +1} (scores tie) or not,
-        # a reload gives the same state vectors (bit for bit, but for the
-        # sign of a zero weight, which the file does not store), kept set
-        # and hyperparameters
+        # after any stream of finite values, drawn from {-1, +1} (scores tie)
+        # or not, with gamma and eta anywhere in their finite ranges, a
+        # reload gives the same state vectors (bit for bit, but for the sign
+        # of a zero weight, which the file does not store), kept set and
+        # hyperparameters. A state that a step over- or underflowed into,
+        # which load_model rejects, makes save_model raise and write nothing
         algo = data.draw(st.sampled_from(ALGOS), label="algo")
         budget = data.draw(st.integers(1, 8), label="B") if algo in BUDGETED else None
-        positive = st.floats(0.01, 10.0)
-        gamma = data.draw(positive, label="gamma")
-        eta = data.draw(st.floats(0.0, 10.0), label="eta")
-        if algo == "fofs" and eta > 0.1:
+        finite = {"allow_nan": False, "allow_infinity": False}
+        gamma = data.draw(st.floats(0.0, exclude_min=True, **finite), label="gamma")
+        eta = data.draw(st.floats(0.0, **finite), label="eta")
+        lam = st.floats(0.0, exclude_min=True, **finite)
+        if algo == "fofs" and eta > 0.0:
             # fofs shrinks by 1 - lambda * eta, which must not be negative
-            positive = st.floats(0.01, 1.0 / eta).filter(lambda lam: lam * eta <= 1.0)
-        m = make_learner(algo, budget=budget, gamma=gamma, eta=eta, lam=data.draw(positive, label="lam"))
+            lam = st.floats(0.0, min(1.0 / eta, sys.float_info.max), exclude_min=True)
+            lam = lam.filter(lambda lam: lam * eta <= 1.0)
+        m = make_learner(algo, budget=budget, gamma=gamma, eta=eta, lam=data.draw(lam, label="lam"))
         d = data.draw(st.integers(1, 30), label="d")
-        if data.draw(st.booleans(), label="tied"):
-            value = st.sampled_from([-1.0, 1.0])
-        else:
-            value = st.floats(-100.0, 100.0, allow_nan=False).filter(bool)
+        value = {
+            "tied": st.sampled_from([-1.0, 1.0]),
+            "any": st.floats(**finite).filter(bool),
+            "square-overflows": st.floats(1.5e154, **finite).flatmap(lambda v: st.sampled_from([-v, v])),
+        }[data.draw(st.sampled_from(["tied", "any", "square-overflows"]), label="values")]
         row = st.tuples(st.sampled_from([-1, 1]), st.dictionaries(st.integers(0, d - 1), value, max_size=8))
-        for y, feats in data.draw(st.lists(row, max_size=60), label="stream"):
-            keys = sorted(feats)
-            m.update(SparseExample(y, np.array(keys, dtype=np.int64), np.array([feats[k] for k in keys])))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for y, feats in data.draw(st.lists(row, max_size=60), label="stream"):
+                keys = sorted(feats)
+                m.update(SparseExample(y, np.array(keys, dtype=np.int64), np.array([feats[k] for k in keys])))
+        savable = np.isfinite(m.weights.array).all()
+        if algo in ("sofs", "arow"):
+            savable &= ((m.sigma.array > 0.0) & (m.sigma.array <= 1.0)).all()
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "model.txt"
+            if not savable:
+                event("refused")
+                with pytest.raises(ValueError, match=r"^cannot save .*: coordinate \d+ holds weight "):
+                    save_model(m, path)
+                assert not path.exists()
+                return
+            event("saved")
             save_model(m, path)
             loaded = load_model(path)
         assert (loaded.algo, loaded.budget, loaded.hyperparams()) == (algo, m.budget, m.hyperparams())
@@ -674,13 +692,35 @@ class TestPersistence:
             assert np.array_equal(loaded.sigma.array, m.sigma.array)
         assert sorted(loaded.tracker.indices()) == sorted(m.tracker.indices())
 
+    @pytest.mark.parametrize(
+        "algo,kwargs,x,held",
+        [
+            pytest.param("ogd", {"eta": 1e308}, ex(-1, (0, 2.0)), "weight -inf", id="ogd-overflow"),
+            pytest.param("sofs", {"budget": 2}, ex(1, (0, 1e200)), "weight 0.0 and covariance 0.0", id="sofs-overflow"),
+            pytest.param("arow", {}, ex(1, (0, 1e200)), "weight 0.0 and covariance 0.0", id="arow-overflow"),
+        ],
+    )
+    def test_save_refuses_a_state_load_model_rejects(self, algo, kwargs, x, held, tmp_path):
+        # sigma * x**2 overflows to inf, so the covariance becomes 0; the
+        # ogd step overflows to -inf
+        m = make_learner(algo, **kwargs)
+        with np.errstate(over="ignore", invalid="ignore"):
+            m.update(x)
+            m.update(ex(1, (1, 1.0)))
+        path = tmp_path / "model.txt"
+        path.write_text("earlier\n")
+        with pytest.raises(ValueError) as info:
+            save_model(m, path)
+        assert str(info.value) == f"cannot save {path}: coordinate 0 holds {held}, which load_model would reject"
+        assert path.read_text() == "earlier\n"  # checked before the file is opened
+
     def test_kept_default_state_feature_survives_reload(self, tmp_path):
         # sigma * x**2 underflows for x = -5e-324, so feature 1 is kept with
         # sigma 1 and mean 0, the state of a feature never touched
         m = SofsModel(budget=2, gamma=2.0)
         m.update(ex(-1, (1, -5e-324)))
         assert m.tracker.indices() == [1]
-        assert (m.mu.array[1], m.sigma.array[1]) == (0.0, 1.0)
+        assert (m.weights.array[1], m.sigma.array[1]) == (0.0, 1.0)
         path = tmp_path / "model.txt"
         save_model(m, path)
         assert path.read_text().splitlines()[1:] == ["1 0.0 1.0"]
@@ -688,7 +728,7 @@ class TestPersistence:
         assert loaded.tracker.indices() == [1]
         x = ex(-1, (0, -5e-324), (2, 1e-200))
         assert loaded.update(x) == m.update(x)
-        assert loaded.mu.array.tobytes() == m.mu.array.tobytes()
+        assert loaded.weights.array.tobytes() == m.weights.array.tobytes()
         assert loaded.tracker.indices() == m.tracker.indices()
 
     def test_listed_default_state_lines_rebuild_the_kept_set(self, tmp_path):
@@ -706,7 +746,7 @@ class TestPersistence:
         path.write_text("OFSMODEL v1 fofs 4 1 eta=0.2 lambda=0.01\n0 0.5\n1 -0.25\n2 0.75\n")
         m = load_model(path)
         assert m.nonzero_count() == 1
-        assert m.w.array.tolist() == [0.0, 0.0, 0.75, 0.0]
+        assert m.weights.array.tolist() == [0.0, 0.0, 0.75, 0.0]
 
     @pytest.mark.parametrize(
         "header,body",
@@ -721,7 +761,7 @@ class TestPersistence:
         m = load_model(path)
         assert m.budget == 10**13
         assert m.tracker.indices() == [1]
-        assert m.raw_margin(ex(1, (1, 2.0), (3, 1.0))) == 1.0
+        assert sparse_dot(m.weights, ex(1, (1, 2.0), (3, 1.0))) == 1.0
         assert m.predict(ex(-1, (1, -2.0))) == -1
 
     @settings(max_examples=300, deadline=None)
@@ -749,7 +789,7 @@ class TestPersistence:
             keys = sorted(feats)
             examples.append(SparseExample(1, np.array(keys, dtype=np.int64), np.array([feats[k] for k in keys])))
         for x in examples:
-            margin = model.raw_margin(x)
+            margin = sparse_dot(model.weights, x)
             assert math.isfinite(margin)
             assert model.predict(x) == (1 if margin >= 0.0 else -1)
 
@@ -833,8 +873,8 @@ class TestPersistence:
             with mock.patch.object(learners, "_scan_body", side_effect=AssertionError("line scan reached")):
                 m = load_model(path)
         assert caught == []
-        assert m.mu.to_list() == [0.0, -0.5, 0.0, 2.0, 0.0]
-        assert m.sigma.to_list() == [1.0, 0.25, 1.0, 1.0, 1.0]
+        assert m.weights.array.tolist() == [0.0, -0.5, 0.0, 2.0, 0.0]
+        assert m.sigma.array.tolist() == [1.0, 0.25, 1.0, 1.0, 1.0]
         assert sorted(m.tracker.indices()) == [1, 3]
 
     @pytest.mark.parametrize("body", ["", "\n \n\t\n"], ids=["empty", "blank"])
@@ -845,8 +885,8 @@ class TestPersistence:
             warnings.simplefilter("always")  # np.loadtxt warns on a body with no rows
             m = load_model(path)
         assert caught == []
-        assert m.mu.to_list() == [0.0] * 6
-        assert m.sigma.to_list() == [1.0] * 6
+        assert m.weights.array.tolist() == [0.0] * 6
+        assert m.sigma.array.tolist() == [1.0] * 6
 
     def test_loaded_sofs_continues_identically(self, tmp_path):
         rng = np.random.default_rng(24)
@@ -860,7 +900,7 @@ class TestPersistence:
         assert sorted(kept_sigmas(loaded)) == sorted(kept_sigmas(m))
         for x in stream[300:]:
             assert loaded.update(x) == m.update(x)
-        assert loaded.mu.to_list() == m.mu.to_list()
+        assert loaded.weights.array.tolist() == m.weights.array.tolist()
 
     @pytest.mark.parametrize("algo", ["sofs", "pet"])
     def test_tied_resume_is_bit_equal(self, algo, tmp_path):

@@ -123,11 +123,11 @@ class TestEvaluate:
         examples = random_stream(rng, 100, 20)
         m = make_learner("sofs", budget=5)
         train_stream(m, examples[:50])
-        state = m.weights.to_list()
+        state = m.weights.array.tolist()
         first = evaluate(m, examples[50:])
         second = evaluate(m, examples[50:])
         assert first == second
-        assert m.weights.to_list() == state
+        assert m.weights.array.tolist() == state
 
     def test_empty_raises(self):
         with pytest.raises(ValueError):
