@@ -11,6 +11,8 @@ import sys
 import zlib
 from typing import List, Optional
 
+import numpy as np
+
 from . import data as dat
 from . import learners, pipeline
 
@@ -273,7 +275,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     _require_budget(parser, args)
     try:
-        return args.func(args)
+        # an overflowed state is refused where it is saved or scored; numpy's warnings would repeat that
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except FileNotFoundError as err:
         print(f"ofs: {err}", file=sys.stderr)
         return 2

@@ -6,7 +6,8 @@ pre-update margin (weights dot features) so callers can count mistakes
 without recomputing the dot product. ``predict`` never mutates.
 
 A step that overflows leaves a non-finite weight or a zero covariance in
-the state; training goes on, but :func:`save_model` refuses to write it.
+the state; training goes on, but :func:`save_model` refuses to write it
+and :func:`check_savable` stops the sweep and cross-validation scoring it.
 
 Learners
 --------
@@ -177,7 +178,8 @@ class SofsModel(_SecondOrder):
     those kept and those just touched, and the weights of all others are
     zeroed. A feature that later re-enters restarts from weight zero. At
     most ``budget`` weights are ever nonzero. An update costs O(m), plus
-    O(B + k) when k touched features reach the tracker's bound.
+    O(B + m) when a touched outsider reaches the tracker's bound or a kept
+    covariance rises above it.
     """
 
     algo = "sofs"
@@ -216,7 +218,9 @@ class PetModel(FirstOrderModel):
 
     The B largest magnitudes, ties to the lower index, are kept by a
     :class:`TopBTracker` scoring by -|w| over the kept and the touched
-    features, the same result as :func:`truncate` in O(m + B) per mistake.
+    features, the same result as :func:`truncate`. A mistake costs O(m),
+    plus O(B + m) when a touched outsider reaches the tracker's bound or a
+    kept magnitude falls below it.
     """
 
     algo = "pet"
@@ -335,12 +339,23 @@ def make_learner(
 
 
 def _values_ok(w: np.ndarray, *covariances: np.ndarray) -> np.ndarray:
-    """Per model body row, the value rules :func:`save_model` and
+    """Per model body row, the value rules :func:`check_savable` and
     :func:`load_model` share: a finite weight, each covariance in (0, 1]."""
     ok = np.isfinite(w)
     for s in covariances:
         ok &= (s > 0.0) & (s <= 1.0)  # NaN fails too
     return ok
+
+
+def check_savable(model: OnlineLearner, where: str) -> None:
+    """Raise ``ValueError`` naming ``where`` and the first coordinate of
+    ``model``'s state that breaks :func:`_values_ok`, if there is one."""
+    state = [vec.array for vec in model._state()]
+    ok = _values_ok(*state)
+    if not ok.all():
+        k = int(np.argmin(ok))
+        held = " and ".join(f"{name} {float(v[k])!r}" for name, v in zip(("weight", "covariance"), state))
+        raise ValueError(f"{where}: coordinate {k} holds {held}, which load_model would reject")
 
 
 def save_model(model: OnlineLearner, path) -> None:
@@ -357,6 +372,7 @@ def save_model(model: OnlineLearner, path) -> None:
     for bit. A state :func:`load_model` would reject raises ``ValueError``,
     naming the first bad coordinate, before ``path`` is opened.
     """
+    check_savable(model, f"cannot save {path}")
     params = " ".join(f"{k}={v!r}" for k, v in model.hyperparams().items())
     budget = model.budget or 0
     d = len(model.weights)
@@ -368,11 +384,6 @@ def save_model(model: OnlineLearner, path) -> None:
         stored[model.tracker.indices()] = True
     j = np.flatnonzero(stored)
     values = [vec.array[j] for vec in state]
-    ok = _values_ok(*values)
-    if not ok.all():
-        k = int(np.argmin(ok))
-        held = " and ".join(f"{name} {float(v[k])!r}" for name, v in zip(("weight", "covariance"), values))
-        raise ValueError(f"cannot save {path}: coordinate {j[k]} holds {held}, which load_model would reject")
     columns = [j.tolist()] + [v.tolist() for v in values]
     lines += map(" ".join, zip(*(map(repr, column) for column in columns)))
     with open(path, "w", encoding="ascii") as fh:

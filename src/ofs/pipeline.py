@@ -18,7 +18,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .core import SparseExample
-from .learners import BUDGETED, OnlineLearner, _check_hyperparam, learner_class, make_learner
+from .learners import BUDGETED, OnlineLearner, _check_hyperparam, check_savable, learner_class, make_learner
 
 CSV_HEADER = "algo,B,seed,accuracy,mistakes,sparsity_pct,train_s,total_s"
 
@@ -157,6 +157,8 @@ def cross_validate(
     pass. Returns (best_params, results) with results in grid order; ties
     keep the earlier grid point. One learner is built per grid point before
     the stream is read, so a bad name, budget or hyperparameter fails first.
+    A trained state that cannot be saved raises ``ValueError`` naming the
+    grid point and the fold.
     """
     combinations = grid.combinations(algo)
     for params in combinations:
@@ -176,6 +178,8 @@ def cross_validate(
             lo, hi = bounds[f], bounds[f + 1]
             learner = make_learner(algo, budget=budget, **params)
             train_stream(learner, examples[:lo] + examples[hi:])
+            shown = " ".join(f"{k}={v:g}" for k, v in params.items())
+            check_savable(learner, f"cv {algo} {shown} fold {f + 1}")
             accs.append(evaluate(learner, examples[lo:hi]))
         mean = sum(accs) / k
         results.append((params, mean))
@@ -254,6 +258,8 @@ def benchmark_sweep(
     algorithm and budget in that repeat so comparisons are paired. Sparsity
     is measured against ``dim``, the one place the dimensionality is
     declared, or against the learner's own dimension if that is larger.
+    A trained state that cannot be saved raises ``ValueError`` naming the
+    algorithm, budget and seed.
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
@@ -274,6 +280,7 @@ def benchmark_sweep(
                 learner = make_learner(algo, budget=budget, **params)
                 started = time.perf_counter()
                 tr = train_stream(learner, train_rows.rows(order))
+                check_savable(learner, f"sweep {algo} B={budget} seed={seed}")
                 accuracy = evaluate(learner, test_rows.rows())
                 total = time.perf_counter() - started
                 d = max(dim or 0, len(learner.weights))

@@ -6,14 +6,14 @@ dense bool mask plus the array of kept indices, so memory grows with the
 kept set, not with B, and a cached upper bound on the worst kept score,
 +inf while the set fills. An update reads scores only at kept and touched
 features, never over all d. Usually that is O(m) numpy work: touched kept
-features need nothing, and touched outsiders worse than the bound are
-dropped at once. Only an outsider reaching the bound costs one pass over
-the kept and new candidates: all are kept while they fit in B, else
+features at or below the bound need nothing, and touched outsiders worse
+than it are dropped at once. Otherwise one pass reselects over the kept
+set and every touched outsider: all are kept while they fit in B, else
 :func:`first_b`, shared with ``learners.truncate``, picks B and the bound.
 
 Untouched outsiders are never reconsidered. That is exact when kept scores
 only improve (σ), or when outsiders score the worst possible (-|w| of a
-zero weight); kept scores that get worse raise the bound.
+zero weight); a kept score that gets worse than the bound reselects.
 """
 from __future__ import annotations
 
@@ -79,11 +79,10 @@ class TopBTracker:
         ``idx`` holds strictly increasing feature indices and ``scores``
         their current scores. Returns the indices that are not kept after
         the call, among ``idx`` and the features kept before it: the caller
-        zeroes their weights.
+        zeroes their weights. A failed O(m) check costs one pass over the
+        kept set and every touched outsider, a :func:`first_b` once full.
         """
-        if len(idx) == 0:
-            return idx
-        if idx[-1] >= len(self._mask):
+        if len(idx) and idx[-1] >= len(self._mask):
             mask = np.zeros(grown_capacity(int(idx[-1]) + 1), dtype=bool)
             mask[: len(self._mask)] = self._mask
             self._mask = mask
@@ -92,23 +91,17 @@ class TopBTracker:
         if np.count_nonzero(worse != inside) == len(idx):
             # every outsider is worse than the bound, no kept score rose above it
             return idx[worse]
-        if inside.any():
-            self._bound = max(self._bound, float(scores[inside].max()))
         out = ~inside
-        new, s = idx[out], scores[out]
-        near = s <= self._bound
-        if not near.any():
-            return new
-        far, new = new[~near], new[near]
+        new = idx[out]
         cand = np.concatenate((self._keys, new))
         if len(cand) < self.capacity:
             self._mask[new] = True
             self._keys = cand
-            return far
-        keep, self._bound = first_b(cand, np.concatenate((self.score(self._keys), s[near])), self.capacity)
+            return new[:0]
+        keep, self._bound = first_b(cand, np.concatenate((self.score(self._keys), scores[out])), self.capacity)
         self._mask[cand] = keep
         self._keys = cand[keep]
-        return np.concatenate((far, cand[~keep]))
+        return cand[~keep]
 
     def offer(self, idx: int, value: float) -> Tuple[Outcome, Optional[int]]:
         """One-feature form of :meth:`select`; ``value`` is the current score of ``idx``.

@@ -8,7 +8,6 @@ import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from ofs import data, learners, pipeline
@@ -393,12 +392,32 @@ class TestDataErrors:
         data = tmp_path / "d.svm"
         data.write_text(text)
         model = tmp_path / "m"
-        with np.errstate(over="ignore", invalid="ignore"):
-            code, out, err = run(capsys, "train", *argv, "--data", str(data), "--model", str(model))
+        code, out, err = run(capsys, "train", *argv, "--data", str(data), "--model", str(model))
         assert code == 1
         assert err == f"ofs: cannot save {model}: coordinate 0 holds {held}, which load_model would reject\n"
         assert out == ""
         assert not model.exists()
+
+    @pytest.mark.parametrize(
+        "line,where",
+        [
+            pytest.param(
+                "sweep --algos ogd --B 1 --eta 1e308 --train DATA --test DATA --repeats 1 --csv CSV",
+                "sweep ogd B=0 seed=0",
+                id="sweep",
+            ),
+            pytest.param("cv --algo ogd --etas 1e308 --data DATA --folds 2", "cv ogd eta=1e+308 fold 2", id="cv"),
+        ],
+    )
+    def test_overflowed_state_is_not_scored(self, tmp_path, capsys, line, where):
+        # ogd's weight overflows to inf: the run is refused, not scored
+        paths = {"data": str(tmp_path / "d.svm"), "csv": str(tmp_path / "r.csv")}
+        (tmp_path / "d.svm").write_text("+1 1:2\n-1 2:1.0\n")
+        code, out, err = run(capsys, *with_paths(line, paths))
+        assert code == 1
+        assert err == f"ofs: {where}: coordinate 0 holds weight inf, which load_model would reject\n"
+        assert out == ""
+        assert not (tmp_path / "r.csv").exists()
 
     @pytest.mark.parametrize("command", ["train", "sweep", "cv"])
     def test_fofs_negative_shrink_exits_one(self, tmp_path, capsys, command, spy):

@@ -11,6 +11,7 @@ import pytest
 
 from ofs import learners
 from ofs.core import SparseExample, sparse_dot
+from ofs.data import SyntheticSpec, generate_synthetic
 from ofs.learners import (
     ALGOS,
     BUDGETED,
@@ -543,6 +544,30 @@ class TestLearnerTable:
         with pytest.raises(ValueError) as via_name:
             make_learner(cls.algo, budget=budget)
         assert str(via_name.value) == str(info.value)
+
+
+class TestPaperShape:
+    # sha256 of the weights, then the sorted kept indices as int64, after
+    # training on a stream shaped like the paper's ultra-high-dimensional
+    # regime but smaller: 200 nonzeros per example at d = 10^5, B = 100.
+    # Nearly every pet mistake reselects over the kept set and the touched
+    # outsiders, a regime the small tracker tests never reach.
+    DIGESTS = {
+        "sofs": "f6b83755cbbe74897fefdab2a33520818658ab73c55846b0aa63ec22162c3c78",
+        "pet": "be4d0f283bff242a46875ee4071d001f8610656da0da05c806388aaf77126820",
+    }
+
+    @pytest.mark.parametrize("algo", sorted(DIGESTS))
+    def test_selected_set_unchanged(self, algo):
+        spec = SyntheticSpec(n_train=300, n_test=1, dim=100_000, idim=100, ndim=100, seed=2014)
+        train, _, _ = generate_synthetic(spec)
+        model = make_learner(algo, budget=100)
+        for x in train:
+            model.update(x)
+        h = hashlib.sha256(model.weights.array.tobytes())
+        h.update(np.sort(np.array(model.tracker.indices(), dtype=np.int64)).tobytes())
+        assert len(model.tracker) == 100
+        assert h.hexdigest() == self.DIGESTS[algo]
 
 
 def growing_stream(rng: np.random.Generator, n: int) -> list:

@@ -89,8 +89,10 @@ class TestSelect:
         assert sorted(t.indices()) == [1, 2]
 
     def test_worse_kept_value_raises_bound(self):
-        # scores of kept features may get worse (pet's -|w| does); the bound
-        # follows, so a later select still evicts the true worst
+        # scores of kept features may get worse (pet's -|w| does); one above
+        # the bound fails the O(m) check, and the reselection that follows
+        # sets the bound to the new worst kept score, so a later select
+        # still evicts the true worst
         t, s = scored(2, 10)
         touch(t, s, [1], 0.5)
         touch(t, s, [2], 0.4)
@@ -214,6 +216,27 @@ class TestAgainstSortOracle:
                 if capacity >= universe:
                     assert len(dropped) == 0
                 assert sorted(t.indices()) == sorted(value_index_order(current)[:capacity])
+
+    @pytest.mark.parametrize("capacity", [1, 2, 5, 16, 10**13])
+    def test_worsened_kept_values_match_value_index_sort(self, capacity):
+        # as above, but a kept feature may move to any level, worse ones
+        # included, as pet's -|w| does: the kept set must be the first B by
+        # (value, index) of those kept before and the batch, and the call
+        # returns exactly the ones among them that are not kept after it
+        levels = [0.125, 0.25, 0.5, 1.0]
+        rng = np.random.default_rng(300 + capacity)
+        for _ in range(100):
+            universe = int(rng.integers(max(2, min(capacity, 16)), 40))
+            t, s = scored(capacity, universe)
+            for _ in range(int(rng.integers(1, 120))):
+                k = int(rng.integers(1, 6))
+                batch = np.sort(rng.choice(universe, size=min(k, universe), replace=False))
+                pool = set(t.indices()) | set(batch.tolist())
+                dropped = touch(t, s, batch, rng.choice(levels, size=len(batch)))
+                check_state(t, s)
+                first = value_index_order({j: s[j] for j in pool})[:capacity]
+                assert sorted(t.indices()) == sorted(first)
+                assert sorted(dropped.tolist()) == sorted(pool - set(first))
 
 
 class TestState:
