@@ -263,10 +263,8 @@ def _cmd_cv(args) -> int:
     grid = pipeline.CvGrid(gammas=args.gammas, etas=args.etas, lambdas=args.lambdas, folds=args.folds)
     best, results = pipeline.cross_validate(args.algo, args.B, grid, dat.read_libsvm(args.data))
     for params, acc in results:
-        shown = " ".join(f"{k}={v:g}" for k, v in params.items())
-        print(f"{shown}: {acc:.6f}")
-    shown = " ".join(f"{k}={v:g}" for k, v in best.items())
-    print(f"best: {shown}")
+        print(f"{learners.format_grid_point(params)}: {acc:.6f}")
+    print(f"best: {learners.format_grid_point(best)}")
     return 0
 
 

@@ -8,14 +8,10 @@ multiplicatively and drifts visibly in anything narrower.
 """
 from __future__ import annotations
 
-import math
-import operator
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Tuple
+from typing import Iterator, Tuple
 
 import numpy as np
-
-VALID_LABELS = (-1, 1)
 
 
 @dataclass(eq=False)
@@ -23,53 +19,15 @@ class SparseExample:
     """One labelled instance: a label in {-1, +1} plus sorted sparse features.
 
     ``indices`` must be strictly increasing (0-based, no duplicates) and
-    ``values`` must contain no exact zeros. Construct through
-    :meth:`from_pairs` unless the arrays are already known to satisfy both
-    invariants. Instances are treated as immutable once built, and compare
-    equal only to themselves.
+    ``values`` must contain no exact zeros. The constructor checks neither:
+    the libsvm parser, which builds every example read from a file, rejects
+    indices out of order and drops zero values. Instances are treated as
+    immutable once built, and compare equal only to themselves.
     """
 
     label: int
     indices: np.ndarray
     values: np.ndarray
-
-    @classmethod
-    def from_pairs(cls, label: int, pairs: Iterable[Tuple[int, float]]) -> "SparseExample":
-        """Build and validate an example from (index, value) pairs.
-
-        Zero-valued entries are dropped. As in the libsvm parser, a NaN or
-        infinite value and an index that does not fit int64 raise
-        ``ValueError``, and so do negative, duplicate or out-of-order indices
-        and an index that is not a Python or numpy integer.
-        """
-        if label not in VALID_LABELS:
-            raise ValueError(f"label must be -1 or +1, got {label!r}")
-        idx: list[int] = []
-        vals: list[float] = []
-        last = -1
-        for i, v in pairs:
-            try:
-                i = operator.index(i)
-            except TypeError:
-                raise ValueError(f"feature index must be an integer, got {i!r}") from None
-            if i < 0:
-                raise ValueError(f"negative feature index {i}")
-            if i >= 2**63:
-                raise ValueError(f"feature index {i} does not fit int64")
-            if i <= last:
-                raise ValueError(f"feature indices not strictly increasing at {i}")
-            last = i
-            v = float(v)
-            if not math.isfinite(v):
-                raise ValueError(f"non-finite value {v} at feature index {i}")
-            if v != 0.0:
-                idx.append(i)
-                vals.append(v)
-        return cls(int(label), np.asarray(idx, dtype=np.int64), np.asarray(vals, dtype=np.float64))
-
-    @property
-    def nnz(self) -> int:
-        return len(self.indices)
 
     def pairs(self) -> Iterator[Tuple[int, float]]:
         return zip(self.indices.tolist(), self.values.tolist())

@@ -161,10 +161,6 @@ class SyntheticSpec:
                 f"idim + ndim = {self.idim + self.ndim} exceeds dim = {self.dim}"
             )
 
-    @property
-    def nnz_per_example(self) -> int:
-        return self.idim + self.ndim
-
 
 _CHUNK = 256
 

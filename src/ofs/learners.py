@@ -38,6 +38,13 @@ MODEL_VERSION = "v1"
 _PARAM_NAMES = {"gamma": "gamma", "eta": "eta", "lam": "lambda"}
 
 
+def format_grid_point(params: Dict[str, float]) -> str:
+    """``params``, keyed by :func:`make_learner` keyword, as ``name=value``
+    pairs spelled as a model header spells them: ``eta=0.2 lambda=0.01``.
+    Each value is ``repr(float(v))``, so distinct values print distinctly."""
+    return " ".join(f"{_PARAM_NAMES[key]}={float(value)!r}" for key, value in params.items())
+
+
 def _check_hyperparam(key: str, value: float) -> float:
     """Return ``value`` as a float, or raise ``ValueError`` if it is not a
     finite number > 0 (>= 0 for ``eta``: a learner that never moves is a

@@ -3,7 +3,9 @@
 Training is a strict single pass in one loop on the calling thread: each
 example is read (parsed, for a file stream), then handed to exactly one
 ``update`` call, in stream order. Any error, from the parser or from the
-learner, reaches the caller at once.
+learner, reaches the caller at once. Cross-validation and sweeps walk
+their input many times; each reads it once into a :class:`_RowCache` in
+a temporary directory and walks that.
 """
 from __future__ import annotations
 
@@ -18,9 +20,19 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .core import SparseExample
-from .learners import BUDGETED, OnlineLearner, _check_hyperparam, check_savable, learner_class, make_learner
+from .learners import (
+    BUDGETED,
+    OnlineLearner,
+    _check_hyperparam,
+    check_savable,
+    format_grid_point,
+    learner_class,
+    make_learner,
+)
 
 CSV_HEADER = "algo,B,seed,accuracy,mistakes,sparsity_pct,train_s,total_s"
+# the temporary directories that hold row caches are named <prefix><random>
+CACHE_DIR_PREFIX = "ofs-rows-"
 
 
 @dataclass
@@ -157,34 +169,38 @@ def cross_validate(
     pass. Returns (best_params, results) with results in grid order; ties
     keep the earlier grid point. One learner is built per grid point before
     the stream is read, so a bad name, budget or hyperparameter fails first.
-    A trained state that cannot be saved raises ``ValueError`` naming the
-    grid point and the fold.
+    ``stream`` is any iterable of examples, read once into a
+    :class:`_RowCache` in a temporary directory that is removed on return,
+    as :func:`benchmark_sweep` does; the cache takes 16 bytes per nonzero
+    there, and a malformed line fails before any row trains. A trained
+    state that cannot be saved raises ``ValueError`` naming the grid point,
+    as :func:`~ofs.learners.format_grid_point` spells it, and the fold.
     """
     combinations = grid.combinations(algo)
     for params in combinations:
         make_learner(algo, budget=budget, **params)
-    examples = list(stream)
     k = grid.folds
-    n = len(examples)
-    if n < k:
-        raise ValueError(f"{n} examples cannot be split into {k} folds")
-    bounds = [i * n // k for i in range(k + 1)]
     results: List[Tuple[Dict[str, float], float]] = []
     best: Dict[str, float] = {}
     best_acc = -1.0
-    for params in combinations:
-        accs = []
-        for f in range(k):
-            lo, hi = bounds[f], bounds[f + 1]
-            learner = make_learner(algo, budget=budget, **params)
-            train_stream(learner, examples[:lo] + examples[hi:])
-            shown = " ".join(f"{k}={v:g}" for k, v in params.items())
-            check_savable(learner, f"cv {algo} {shown} fold {f + 1}")
-            accs.append(evaluate(learner, examples[lo:hi]))
-        mean = sum(accs) / k
-        results.append((params, mean))
-        if mean > best_acc:
-            best, best_acc = params, mean
+    with tempfile.TemporaryDirectory(prefix=CACHE_DIR_PREFIX) as tmp:
+        rows = _RowCache(stream, tmp, "cv")
+        n = len(rows)
+        if n < k:
+            raise ValueError(f"{n} examples cannot be split into {k} folds")
+        bounds = [i * n // k for i in range(k + 1)]
+        for params in combinations:
+            accs = []
+            for f in range(k):
+                lo, hi = bounds[f], bounds[f + 1]
+                learner = make_learner(algo, budget=budget, **params)
+                train_stream(learner, rows.rows(np.r_[0:lo, hi:n]))
+                check_savable(learner, f"cv {algo} {format_grid_point(params)} fold {f + 1}")
+                accs.append(evaluate(learner, rows.rows(np.arange(lo, hi))))
+            mean = sum(accs) / k
+            results.append((params, mean))
+            if mean > best_acc:
+                best, best_acc = params, mean
     return best, results
 
 
@@ -270,7 +286,7 @@ def benchmark_sweep(
     for algo, budget in runs:
         make_learner(algo, budget=budget, **params)
     reports: List[RunReport] = []
-    with tempfile.TemporaryDirectory(prefix="ofs-sweep-") as tmp:
+    with tempfile.TemporaryDirectory(prefix=CACHE_DIR_PREFIX) as tmp:
         train_rows = _RowCache(train, tmp, "train")
         test_rows = _RowCache(test, tmp, "test")
         for r in range(repeats):

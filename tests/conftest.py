@@ -1,11 +1,13 @@
 """Reports one pass/fail line per acceptance criterion after the run, and
-fails any test that leaves a sweep's temporary directory behind."""
+fails any test that leaves a row cache's temporary directory behind."""
 import glob
 import os
 import shutil
 import tempfile
 
 import pytest
+
+from ofs.pipeline import CACHE_DIR_PREFIX
 
 _RESULTS = {}
 _TEMPDIR = pytest.StashKey[str]()  # where tempfile makes its directories during the run
@@ -29,7 +31,7 @@ def pytest_runtest_call(item):
         return (yield)
     finally:
         tmp = item.config.stash.get(_TEMPDIR, None)
-        leaked = sorted(glob.glob(os.path.join(tmp, "ofs-sweep-*"))) if tmp else []
+        leaked = sorted(glob.glob(os.path.join(tmp, CACHE_DIR_PREFIX + "*"))) if tmp else []
         for path in leaked:
             shutil.rmtree(path, ignore_errors=True)
         assert not leaked, f"the test left {', '.join(map(os.path.basename, leaked))} in {tmp}"

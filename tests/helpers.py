@@ -3,7 +3,8 @@ each learner's rule and the synthetic generator restated in plain form."""
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator, List, Optional, Sequence
+import operator
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,6 +28,40 @@ def dense_vector(values) -> DenseVector:
     vec = DenseVector(len(values))
     vec.array[:] = values
     return vec
+
+
+def from_pairs(label: int, pairs: Iterable[Tuple[int, float]]) -> SparseExample:
+    """Build and validate an example from (index, value) pairs.
+
+    Zero-valued entries are dropped. As in the libsvm parser, a NaN or
+    infinite value and an index that does not fit int64 raise
+    ``ValueError``, and so do negative, duplicate or out-of-order indices
+    and an index that is not a Python or numpy integer.
+    """
+    if label not in (-1, 1):
+        raise ValueError(f"label must be -1 or +1, got {label!r}")
+    idx: list[int] = []
+    vals: list[float] = []
+    last = -1
+    for i, v in pairs:
+        try:
+            i = operator.index(i)
+        except TypeError:
+            raise ValueError(f"feature index must be an integer, got {i!r}") from None
+        if i < 0:
+            raise ValueError(f"negative feature index {i}")
+        if i >= 2**63:
+            raise ValueError(f"feature index {i} does not fit int64")
+        if i <= last:
+            raise ValueError(f"feature indices not strictly increasing at {i}")
+        last = i
+        v = float(v)
+        if not math.isfinite(v):
+            raise ValueError(f"non-finite value {v} at feature index {i}")
+        if v != 0.0:
+            idx.append(i)
+            vals.append(v)
+    return SparseExample(int(label), np.asarray(idx, dtype=np.int64), np.asarray(vals, dtype=np.float64))
 
 
 def random_example(rng: np.random.Generator, d: int, max_nnz: int = 12) -> SparseExample:

@@ -18,7 +18,7 @@ from ofs.data import SyntheticSpec, generate_synthetic, read_libsvm, write_libsv
 from ofs.learners import make_learner, load_model, save_model
 from ofs.pipeline import CvGrid, benchmark_sweep, cross_validate, evaluate, train_stream
 
-from helpers import SortSelectSofs, bulk_stream, dense_vector, in_memory_sweep, random_stream
+from helpers import SortSelectSofs, bulk_stream, dense_vector, from_pairs, in_memory_sweep, random_stream
 
 
 @pytest.mark.acceptance("01", "top-B selection matches sort-based reference on 100 streams")
@@ -106,7 +106,7 @@ def test_gradient_against_finite_differences():
     while checked < 10:
         w = dense_vector(rng.uniform(-1.0, 1.0, size=8))
         pairs = [(i, float(v)) for i, v in enumerate(rng.standard_normal(8))]
-        x = SparseExample.from_pairs(1, pairs)
+        x = from_pairs(1, pairs)
         y = 1 if rng.random() < 0.5 else -1
         if abs(1.0 - y * sparse_dot(w, x)) < 1e-3:
             continue  # too close to the hinge kink for finite differences

@@ -588,7 +588,7 @@ class TestGenerate:
         assert (dataset / "informative.txt").exists()
         rows = list(read_libsvm(dataset / "train.svm"))
         assert len(rows) == 1500
-        assert all(r.nnz == 75 for r in rows)
+        assert all(len(r.indices) == 75 for r in rows)
 
     def test_truth_file_is_one_based(self, dataset):
         lines = (dataset / "informative.txt").read_text().splitlines()
@@ -802,7 +802,7 @@ class TestCvCommand:
         assert code == 0
         lines = out.splitlines()
         assert lines[0].startswith("gamma=0.25: ")
-        assert lines[1].startswith("gamma=1: ")
+        assert lines[1].startswith("gamma=1.0: ")
         assert lines[2].startswith("best: gamma=")
 
     def test_eta_zero_grid_point_runs(self, dataset, capsys):
@@ -816,3 +816,57 @@ class TestCvCommand:
         )
         assert code == 0
         assert "best: eta=0.2" in out
+
+    def test_close_grid_values_print_apart(self, tmp_path, capsys):
+        paths = small_inputs(tmp_path)
+        line = "cv --algo ogd --etas 0.12345678,0.12345679 --folds 2 --data DATA"
+        code, out, err = run(capsys, *with_paths(line, paths))
+        assert code == 0, err
+        lines = out.splitlines()
+        assert [row.partition(": ")[0] for row in lines[:2]] == ["eta=0.12345678", "eta=0.12345679"]
+        assert lines[2] == "best: eta=0.12345678"
+
+    def test_lambda_printed_under_its_flag_name(self, tmp_path, capsys):
+        paths = small_inputs(tmp_path)
+        code, out, err = run(capsys, *with_paths("cv --algo fofs --B 2 --lambdas 0.5 --folds 2 --data DATA", paths))
+        assert code == 0, err
+        lines = out.splitlines()
+        assert lines[0].startswith("eta=0.2 lambda=0.5: ")
+        assert lines[1] == "best: eta=0.2 lambda=0.5"
+
+    @pytest.mark.parametrize("malformed", [False, True])
+    def test_leaves_no_directory(self, tmp_path, capsys, monkeypatch, malformed):
+        paths = small_inputs(tmp_path)
+        if malformed:
+            with open(paths["data"], "a", encoding="ascii") as fh:
+                fh.write("+1 3:oops\n")
+        scratch = tmp_path / "scratch"
+        scratch.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        code, out, err = run(capsys, *with_paths("cv --algo ogd --etas 0.1,0.2 --folds 3 --data DATA", paths))
+        if malformed:
+            assert code == 1
+            assert err.startswith(f"ofs: {paths['data']}: line 13: ")
+            assert out == ""
+        else:
+            assert code == 0, err
+            assert out.splitlines()[-1].startswith("best: eta=")
+        assert os.listdir(scratch) == []
+
+    def test_failed_cache_write_exits_one_and_leaves_no_directory(self, tmp_path, capsys, monkeypatch):
+        paths = small_inputs(tmp_path)
+        scratch = tmp_path / "scratch"
+        scratch.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+
+        class FullDisk(io.FileIO):
+            def write(self, b):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), self.name)
+
+        monkeypatch.setattr(pipeline, "open", FullDisk, raising=False)
+        code, out, err = run(capsys, *with_paths("cv --algo ogd --folds 2 --data DATA", paths))
+        assert code == 1
+        assert err.startswith(f"ofs: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}: ")
+        assert err.endswith("cv.idx'\n")
+        assert out == ""
+        assert os.listdir(scratch) == []

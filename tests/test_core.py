@@ -3,18 +3,17 @@ import pytest
 
 from ofs.core import (
     DenseVector,
-    SparseExample,
     sparse_dot,
     squared_hinge,
     squared_hinge_slope,
 )
 from ofs.learners import OgdModel
 
-from helpers import dense_vector
+from helpers import dense_vector, from_pairs
 
 
 def ex(label, *pairs):
-    return SparseExample.from_pairs(label, pairs)
+    return from_pairs(label, pairs)
 
 
 class TestSparseExample:
@@ -23,13 +22,13 @@ class TestSparseExample:
         assert e.label == 1
         assert e.indices.tolist() == [0, 3]
         assert e.values.tolist() == [1.0, -2.5]
-        assert e.nnz == 2
+        assert len(e.indices) == 2
         assert list(e.pairs()) == [(0, 1.0), (3, -2.5)]
 
     def test_zero_values_dropped(self):
         e = ex(-1, (0, 0.0), (2, 5.0), (4, 0.0))
         assert e.indices.tolist() == [2]
-        assert e.nnz == 1
+        assert len(e.indices) == 1
 
     def test_bad_label(self):
         with pytest.raises(ValueError):
@@ -51,7 +50,7 @@ class TestSparseExample:
 
     def test_empty(self):
         e = ex(1)
-        assert e.nnz == 0
+        assert len(e.indices) == 0
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_value(self, value):

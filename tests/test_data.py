@@ -43,7 +43,7 @@ class TestParseLine:
     def test_label_only(self):
         ex = parse_libsvm_line("+1")
         assert ex.label == 1
-        assert ex.nnz == 0
+        assert len(ex.indices) == 0
 
     def test_zero_values_dropped(self):
         ex = parse_libsvm_line("+1 2:0.0 5:1.0")
@@ -203,10 +203,6 @@ class TestSyntheticSpec:
         with pytest.raises(ValueError):
             SyntheticSpec(n_train=1, n_test=1, dim=10, idim=8, ndim=3)
 
-    def test_nnz(self):
-        spec = SyntheticSpec(n_train=1, n_test=1, dim=10, idim=2, ndim=3)
-        assert spec.nnz_per_example == 5
-
 
 class TestGenerateSynthetic:
     SPEC = SyntheticSpec(n_train=60, n_test=20, dim=300, idim=12, ndim=25, seed=5)
@@ -218,7 +214,7 @@ class TestGenerateSynthetic:
         assert len(rows) == 60
         assert len(list(test)) == 20
         for ex in rows:
-            assert ex.nnz == self.SPEC.nnz_per_example
+            assert len(ex.indices) == self.SPEC.idim + self.SPEC.ndim
             idx = ex.indices.tolist()
             assert idx == sorted(idx)
             assert len(set(idx)) == len(idx)

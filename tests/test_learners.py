@@ -35,6 +35,7 @@ from helpers import (
     TruncatePet,
     dense_truncate,
     dense_vector,
+    from_pairs,
     plain_dot,
     plain_learner,
     random_stream,
@@ -43,7 +44,7 @@ from helpers import (
 
 
 def ex(label, *pairs):
-    return SparseExample.from_pairs(label, pairs)
+    return from_pairs(label, pairs)
 
 
 def kept_sigmas(m):
@@ -282,7 +283,7 @@ class TestSofs:
             outside = set(changed.tolist()) - set(x.indices.tolist())
             # coordinates outside the example may only change by eviction,
             # to zero, and never more of them than the example has nonzeros
-            assert len(outside) <= x.nnz
+            assert len(outside) <= len(x.indices)
             assert all(cur[j] == 0.0 for j in outside)
             prev = cur
 

@@ -12,7 +12,7 @@ from ofs import data, pipeline
 from ofs.cli import main as cli_main
 from ofs.core import SparseExample
 from ofs.data import DatasetStream, LibsvmFormatError, SyntheticSpec, generate_synthetic, read_libsvm, write_libsvm
-from ofs.learners import ALGOS, ArowModel, make_learner
+from ofs.learners import ALGOS, BUDGETED, ArowModel, make_learner
 from ofs.pipeline import (
     CSV_HEADER,
     CvGrid,
@@ -26,11 +26,11 @@ from ofs.pipeline import (
     write_reports_csv,
 )
 
-from helpers import in_memory_sweep, random_stream
+from helpers import from_pairs, in_memory_sweep, random_stream
 
 
 def ex(label, *pairs):
-    return SparseExample.from_pairs(label, pairs)
+    return from_pairs(label, pairs)
 
 
 SEPARABLE = [
@@ -232,6 +232,47 @@ class TestCrossValidate:
         assert [p for p, _ in results] == [{"eta": 0.0}, {"eta": 0.0}]
         assert results[0][1] == results[1][1]
         assert best is results[0][0]
+
+    def test_grid_point_named_as_a_plain_float(self):
+        # ogd's weight overflows to inf, and the refusal names the grid point
+        examples = [ex(1, (0, 2.0)), ex(-1, (1, 1.0))]
+        grid = CvGrid(etas=(np.float64(1.2345678e308),), folds=2)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError) as info:
+            cross_validate("ogd", None, grid, examples)
+        assert str(info.value).startswith("cv ogd eta=1.2345678e+308 fold 2: coordinate 0 holds weight inf")
+
+    def test_peak_far_below_one_copy(self, tmp_path):
+        # the input is read once into a row cache, as a sweep reads it
+        spec = SyntheticSpec(n_train=3_000, n_test=1, dim=5_000, idim=20, ndim=80, seed=68)
+        path = tmp_path / "cv.svm"
+        write_libsvm(generate_synthetic(spec)[0], path)
+        payload = 16 * spec.n_train * (spec.idim + spec.ndim)  # the cache's index and value bytes
+        tracemalloc.start()
+        try:
+            best, _ = cross_validate("ogd", None, CvGrid(folds=2), read_libsvm(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert best == {"eta": 0.2}
+        assert peak <= 0.1 * payload, f"peak {peak / payload:.3f}x the index and value bytes"
+
+    # sha256 of cross_validate's (best, results) for every algorithm, as
+    # they were while cv held its input as a list
+    CV_DIGEST = "37b5959e6b02020a0692572caa45bd7dd8a3bcf0bad3e7841ebc24f1800a5d5b"
+
+    def test_cv_output_pinned(self, tmp_path):
+        spec = SyntheticSpec(n_train=130, n_test=1, dim=200, idim=10, ndim=20, seed=67)
+        rows = list(generate_synthetic(spec)[0])
+        rows.insert(57, SparseExample(1, np.empty(0, np.int64), np.empty(0)))
+        path = tmp_path / "cv.svm"
+        write_libsvm(rows, path)
+        # 131 rows in 7 folds: the folds differ in size
+        grid = CvGrid(gammas=(0.5, 2.0), etas=(0.1, 0.5), lambdas=(0.01, 0.1), folds=7)
+        h = hashlib.sha256()
+        for algo in ALGOS:
+            best, results = cross_validate(algo, 15 if algo in BUDGETED else None, grid, read_libsvm(path))
+            h.update(repr((algo, best, [(params, acc.hex()) for params, acc in results])).encode("ascii"))
+        assert h.hexdigest() == self.CV_DIGEST
 
 
 class TestSweep:
@@ -559,7 +600,7 @@ class TestRowCache:
     def test_only_empty_rows_spill(self, tmp_path):
         empty = [SparseExample(1, np.empty(0, np.int64), np.empty(0))] * 3
         cache = _RowCache(empty, str(tmp_path), "t")
-        assert [(ex.label, ex.nnz) for ex in cache.rows()] == [(1, 0)] * 3
+        assert [(ex.label, len(ex.indices)) for ex in cache.rows()] == [(1, 0)] * 3
 
     # n random rows and one row with no nonzeros
     @pytest.mark.parametrize("n", [1_000, 7, 0])
