@@ -1036,6 +1036,12 @@ class TestPersistence:
             ),
             pytest.param("OFSMODEL v1 sofs 4 3 gamma=1.0 gamma=2.0", "duplicate key 'gamma'", id="duplicate"),
             pytest.param("OFSMODEL v1 ogd 4 0 eta=fast t=0", "eta must be a number, got 'fast'", id="eta=fast"),
+            # a counter is checked before any float, whatever the key order
+            pytest.param("OFSMODEL v1 ogd 4 0 eta=fast t=x", "t must be an integer >= 0, got 'x'", id="t=x-before-eta"),
+            # among the floats, the first bad key in file order is named
+            pytest.param(
+                "OFSMODEL v1 fofs 4 1 lambda=x eta=fast", "lambda must be a number, got 'x'", id="first-bad-in-file-order"
+            ),
         ],
     )
     def test_reject_corrupt_header(self, header, message, tmp_path):
@@ -1044,6 +1050,21 @@ class TestPersistence:
         with pytest.raises(ValueError) as info:
             load_model(path)
         assert str(info.value) == f"{path}: line 1: {message}"
+
+    @pytest.mark.parametrize(
+        "header,params,t",
+        [
+            pytest.param("fofs 4 1 lambda=0.01 eta=0.2", {"eta": 0.2, "lambda": 0.01}, None, id="fofs"),
+            pytest.param("ogd 4 0 t=3 eta=0.5", {"eta": 0.5, "t": 3}, 3, id="ogd"),
+        ],
+    )
+    def test_header_keys_load_in_any_order(self, header, params, t, tmp_path):
+        path = tmp_path / "model.txt"
+        path.write_text(f"OFSMODEL v1 {header}\n")
+        m = load_model(path)
+        assert m.hyperparams() == params
+        if t is not None:
+            assert m.t == t
 
     def test_reject_non_finite_first_order_weight(self, tmp_path):
         path = tmp_path / "corrupt.txt"
