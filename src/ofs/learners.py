@@ -19,6 +19,9 @@ fofs  mistake-driven regularised gradient step, projection onto the L2
       ball of radius 1/sqrt(lambda), then truncation; O(d) per update for
       the dense shrink and projection, the truncation ranks only nonzeros
 ogd   hinge-driven gradient descent with a decaying step, no selection
+
+Each learner states its budget rule once; its hooks ``_listed`` and
+``_impose_budget`` let the model-file code apply it without naming a class.
 """
 from __future__ import annotations
 
@@ -36,6 +39,7 @@ MODEL_VERSION = "v1"
 
 # make_learner keyword -> the hyperparameter's name in messages and model headers
 _PARAM_NAMES = {"gamma": "gamma", "eta": "eta", "lam": "lambda"}
+_KEYWORDS = {name: key for key, name in _PARAM_NAMES.items()}
 
 
 def format_grid_point(params: Dict[str, float]) -> str:
@@ -87,6 +91,7 @@ class OnlineLearner:
 
     algo = "?"
     reads: Tuple[str, ...] = ()  # the make_learner keywords the constructor takes
+    counters: Tuple[str, ...] = ()  # integer attributes a model header writes after them
     budgeted = False  # whether the constructor takes a budget B first
     budget: Optional[int] = None
     weights: DenseVector  # the weights; the means for a second-order learner
@@ -101,7 +106,14 @@ class OnlineLearner:
         return frozenset(np.flatnonzero(self.weights.array).tolist())
 
     def hyperparams(self) -> Dict[str, float]:
-        return {_PARAM_NAMES[key]: getattr(self, key) for key in self.reads}
+        return {_PARAM_NAMES.get(key, key): getattr(self, key) for key in self.reads + self.counters}
+
+    def _listed(self) -> np.ndarray:
+        """Indices a model file lists even where every state vector holds its fill."""
+        return np.zeros(0, dtype=np.int64)
+
+    def _impose_budget(self, keys: np.ndarray) -> None:
+        """Leave a loaded state as an update would; ``keys`` are the sorted indices its file listed."""
 
     def _grown_margin(self, ex: SparseExample) -> Tuple[float, np.ndarray]:
         """Margin and the weights ``wi`` at ``ex.indices``, after growing the
@@ -177,7 +189,23 @@ class ArowModel(_SecondOrder):
         return margin
 
 
-class SofsModel(_SecondOrder):
+class _KeepsTopB(OnlineLearner):
+    """A budget kept by ``tracker``, a :class:`TopBTracker`: sofs and pet."""
+
+    def _keep(self, idx: np.ndarray, scores: np.ndarray) -> None:
+        """Reselect over the kept set and ``idx`` and zero the dropped weights."""
+        dropped = self.tracker.select(idx, scores)
+        if len(dropped):
+            self.weights.array[dropped] = 0.0
+
+    def _listed(self) -> np.ndarray:
+        return np.array(self.tracker.indices(), dtype=np.int64)
+
+    def _impose_budget(self, keys: np.ndarray) -> None:
+        self._keep(keys, self.tracker.score(keys))
+
+
+class SofsModel(_KeepsTopB, _SecondOrder):
     """Second-order learner that keeps only the B most confident features.
 
     After the closed-form update, a :class:`TopBTracker` keeps the B
@@ -201,12 +229,8 @@ class SofsModel(_SecondOrder):
     def update(self, ex: SparseExample) -> float:
         y = ex.label
         margin, wi = self._grown_margin(ex)
-        if y * margin >= 1.0 or len(wi) == 0:
-            return margin
-        new_sig = self._arow_step(ex.indices, ex.values, y, margin, wi)
-        dropped = self.tracker.select(ex.indices, new_sig)
-        if len(dropped):
-            self.weights.array[dropped] = 0.0
+        if y * margin < 1.0 and len(wi):
+            self._keep(ex.indices, self._arow_step(ex.indices, ex.values, y, margin, wi))
         return margin
 
 
@@ -220,7 +244,7 @@ class FirstOrderModel(OnlineLearner):
         self.weights = DenseVector(fill=0.0)
 
 
-class PetModel(FirstOrderModel):
+class PetModel(_KeepsTopB, FirstOrderModel):
     """Perceptron with truncation: gradient step on mistakes, keep top B.
 
     The B largest magnitudes, ties to the lower index, are kept by a
@@ -243,12 +267,9 @@ class PetModel(FirstOrderModel):
         margin, wi = self._grown_margin(ex)
         y = ex.label
         if (1 if margin >= 0.0 else -1) != y:
-            a = self.weights.array
             new_w = wi + self.eta * y * ex.values
-            a[ex.indices] = new_w
-            dropped = self.tracker.select(ex.indices, -np.abs(new_w))
-            if len(dropped):
-                a[dropped] = 0.0
+            self.weights.array[ex.indices] = new_w
+            self._keep(ex.indices, -np.abs(new_w))
         return margin
 
 
@@ -289,18 +310,19 @@ class FofsModel(FirstOrderModel):
             truncate(self.weights, self.budget)
         return margin
 
+    def _impose_budget(self, keys: np.ndarray) -> None:
+        truncate(self.weights, self.budget)
+
 
 class OgdModel(FirstOrderModel):
     """Online gradient descent on the hinge loss with an eta/sqrt(t) step."""
 
     algo = "ogd"
+    counters = ("t",)
 
     def __init__(self, eta: float = 0.2):
         super().__init__(eta=eta)
         self.t = 0
-
-    def hyperparams(self) -> Dict[str, float]:
-        return {**super().hyperparams(), "t": self.t}
 
     def update(self, ex: SparseExample) -> float:
         self.t += 1
@@ -373,8 +395,8 @@ def save_model(model: OnlineLearner, path) -> None:
     coordinate's value in every state vector: ``idx weight sigma`` for
     second-order models, ``idx weight`` for first-order ones. A coordinate
     is stored where any state vector differs from its fill (a nonzero
-    weight, a covariance below 1), and ``sofs`` and ``pet`` also store
-    every kept feature, even one whose state equals an untouched one.
+    weight, a covariance below 1), and so is every index the learner's
+    ``_listed()`` names, even one whose state equals an untouched one.
     Floats are written with repr so a reload reproduces predictions bit
     for bit. A state :func:`load_model` would reject raises ``ValueError``,
     naming the first bad coordinate, before ``path`` is opened.
@@ -386,9 +408,7 @@ def save_model(model: OnlineLearner, path) -> None:
     lines = [f"{MODEL_MAGIC} {MODEL_VERSION} {model.algo} {d} {budget} {params}".rstrip()]
     state = model._state()
     stored = np.logical_or.reduce([vec.array != vec.fill for vec in state])
-    if isinstance(model, (SofsModel, PetModel)):
-        # a kept feature can hold the state of an untouched one
-        stored[model.tracker.indices()] = True
+    stored[model._listed()] = True
     j = np.flatnonzero(stored)
     values = [vec.array[j] for vec in state]
     columns = [j.tolist()] + [v.tolist() for v in values]
@@ -428,17 +448,17 @@ def _load_header(header: List[str]) -> OnlineLearner:
         values[key] = val
     if sorted(values) != sorted(expected):
         raise ValueError(f"{algo} keys must be {', '.join(expected)}, got {', '.join(values) or 'none'}")
-    t = count("t", values.pop("t")) if "t" in values else 0
+    counts = {name: count(name, values.pop(name)) for name in learner_class(algo).counters}
     kwargs: Dict[str, float] = {}
-    for key, val in values.items():
+    for name, val in values.items():
         try:
-            kwargs["lam" if key == "lambda" else key] = float(val)
+            kwargs[_KEYWORDS[name]] = float(val)
         except ValueError:
-            raise ValueError(f"{key} must be a number, got {val!r}") from None
+            raise ValueError(f"{name} must be a number, got {val!r}") from None
     model = make_learner(algo, budget=budget, **kwargs)
     model._ensure(d)
-    if isinstance(model, OgdModel):
-        model.t = t
+    for name, value in counts.items():
+        setattr(model, name, value)
     return model
 
 
@@ -515,15 +535,15 @@ def load_model(path) -> OnlineLearner:
 
     Every header field is checked: d and B are integers >= 0 with B >= 1
     exactly for budgeted algorithms, the keys are exactly those the
-    learner's ``hyperparams`` writes, ``t`` is an integer >= 0, and the
-    hyperparameters pass the learner's own checks. A body line with the
-    wrong number of fields, an index outside [0, d) or listed twice, a
-    non-finite weight or mean, or a covariance outside (0, 1] is rejected
-    too, each rule applied in that order. Each failure raises
-    ``ValueError`` naming the file and the first line that breaks a rule.
-    A ``sofs`` or ``pet`` kept set is rebuilt by the learner's own rule
-    over the features the file lists, and a ``fofs`` model is truncated to
-    its budget, as its own update leaves it.
+    learner's ``hyperparams`` writes, each counter (``ogd``'s ``t``) is an
+    integer >= 0, and the hyperparameters pass the learner's own checks. A
+    body line with the wrong number of fields, an index outside [0, d) or
+    listed twice, a non-finite weight or mean, or a covariance outside
+    (0, 1] is rejected too, each rule applied in that order. Each failure
+    raises ``ValueError`` naming the file and the first line that breaks a
+    rule. The learner's ``_impose_budget`` then applies its budget rule
+    over the listed indices: ``sofs`` and ``pet`` rebuild the kept set with
+    the select-and-zero step an update runs, and ``fofs`` truncates.
     """
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().split()
@@ -540,10 +560,5 @@ def load_model(path) -> OnlineLearner:
     j, keys, *columns = body
     for vec, column in zip(state, columns):
         vec.array[j] = column
-    if isinstance(model, (SofsModel, PetModel)):
-        # rebuild the kept set by the learner's own rule over the listed features
-        tracker = model.tracker
-        model.weights.array[tracker.select(keys, tracker.score(keys))] = 0.0
-    elif isinstance(model, FofsModel):
-        truncate(model.weights, model.budget)
+    model._impose_budget(keys)
     return model

@@ -215,6 +215,8 @@ class _RowCache:
     row offsets stay in memory.
     """
 
+    _CHUNK = 4096  # rows whose labels and offsets a walk converts at once
+
     def __init__(self, stream: Iterable[SparseExample], directory: str, name: str):
         labels, indptr = array("b"), array("q", [0])
         paths = [os.path.join(directory, f"{name}.{part}") for part in ("idx", "val")]
@@ -237,14 +239,17 @@ class _RowCache:
         return len(self.labels)
 
     def rows(self, order: Optional[np.ndarray] = None) -> Iterator[SparseExample]:
-        """Yield the rows in stream order, or in ``order``, as read-only views of the cache."""
-        labels, ptr = self.labels.tolist(), self.indptr.tolist()
+        """Yield the rows in stream order, or in ``order``, as read-only views
+        of the cache. Labels and offsets become Python ints ``_CHUNK`` rows
+        at a time, so a walk holds the same memory whatever the row count."""
         # plain ndarray views: slicing an np.memmap row by row runs its
         # Python-level __getitem__ and __array_finalize__ on every row
         idx, val = np.asarray(self.indices), np.asarray(self.values)
-        for r in range(len(labels)) if order is None else order.tolist():
-            a, b = ptr[r], ptr[r + 1]
-            yield SparseExample(labels[r], idx[a:b], val[a:b])
+        n = len(self) if order is None else len(order)
+        for lo in range(0, n, self._CHUNK):
+            r = np.arange(lo, min(lo + self._CHUNK, n)) if order is None else order[lo : lo + self._CHUNK]
+            for y, a, b in zip(self.labels[r].tolist(), self.indptr[r].tolist(), self.indptr[r + 1].tolist()):
+                yield SparseExample(y, idx[a:b], val[a:b])
 
 
 def benchmark_sweep(

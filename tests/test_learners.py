@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import math
 import sys
 import tempfile
@@ -1071,3 +1072,43 @@ class TestPersistence:
         path.write_text("OFSMODEL v1 ogd 4 0 eta=0.2 t=3\n1 -inf\n")
         with pytest.raises(ValueError, match="line 2: non-finite weight -inf"):
             load_model(path)
+
+
+class TestBudgetHooks:
+    """``_listed`` and ``_impose_budget``: how the model-file code reaches
+    each learner's budget rule without naming its class."""
+
+    @pytest.mark.parametrize("algo", ALGOS)
+    def test_impose_budget_after_updates_changes_nothing(self, algo, tmp_path):
+        # values of +-1 make covariances and magnitudes tie. An update
+        # already leaves the budget met, so imposing it over the indices a
+        # model file lists must leave the state and the kept set bit-equal
+        rng = np.random.default_rng(31)
+        m = make_learner(algo, budget=5 if algo in BUDGETED else None)
+        for x in random_stream(rng, 400, 40):
+            m.update(SparseExample(x.label, x.indices, np.where(x.values < 0.0, -1.0, 1.0)))
+        if algo in ("sofs", "pet"):
+            assert m._listed().tolist() == m.tracker.indices()
+            assert len(m._listed()) == 5
+        else:
+            assert m._listed().dtype == np.int64 and len(m._listed()) == 0
+        path = tmp_path / "model.txt"
+        save_model(m, path)
+        keys = np.loadtxt(path, skiprows=1, usecols=0, dtype=np.int64, ndmin=1)
+        before = [vec.array.tobytes() for vec in m._state()], m._listed().tobytes()
+        m._impose_budget(keys)
+        assert ([vec.array.tobytes() for vec in m._state()], m._listed().tobytes()) == before
+
+    def test_model_file_code_names_no_learner_class(self):
+        # each learner carries its budget rule and header counters, so the
+        # model-file code needs no branch on the class
+        classes = [
+            name
+            for name, obj in vars(learners).items()
+            if isinstance(obj, type) and issubclass(obj, learners.OnlineLearner) and obj is not learners.OnlineLearner
+        ]
+        assert {"SofsModel", "PetModel", "FofsModel", "OgdModel", "ArowModel"} <= set(classes)
+        for fn in (save_model, learners._load_header, load_model):
+            source = inspect.getsource(fn)
+            assert "isinstance" not in source, fn.__name__
+            assert [name for name in classes if name in source] == [], fn.__name__

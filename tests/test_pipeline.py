@@ -581,7 +581,7 @@ class TestSweepCache:
 
 class TestRowCache:
     # n random rows, then one row with no nonzeros if empty_last
-    @pytest.mark.parametrize("n,empty_last", [(1_000, False), (7, True), (0, True)])
+    @pytest.mark.parametrize("n,empty_last", [(1_000, False), (7, True), (0, True), (9_000, True)])
     def test_rows_round_trip(self, tmp_path, n, empty_last):
         rng = np.random.default_rng(62)
         examples = random_stream(rng, n, 30) + [SparseExample(-1, np.empty(0, np.int64), np.empty(0))] * empty_last
@@ -596,6 +596,24 @@ class TestRowCache:
             assert np.array_equal(got.indices, want.indices)
             assert np.array_equal(got.values, want.values)
         assert [ex.label for ex in cache.rows()] == [ex.label for ex in examples]
+
+    def test_walk_peak_independent_of_row_count(self, tmp_path):
+        # a walk converts labels and row offsets to Python ints a chunk at
+        # a time; whole-cache lists would hold about 88 B per row
+        def walk_peak(n: int) -> int:
+            one, vals = np.arange(n, dtype=np.int64), np.ones(1)
+            stream = (SparseExample(1 - 2 * (i & 1), one[i : i + 1], vals) for i in range(n))
+            cache = _RowCache(stream, str(tmp_path), f"r{n}")
+            order = np.random.default_rng(67).permutation(n)
+            tracemalloc.start()
+            try:
+                assert sum(ex.label for ex in cache.rows(order)) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = walk_peak(50_000), walk_peak(200_000)
+        assert large <= 1.25 * small, f"walk peak {small} B at 50,000 rows, {large} B at 200,000"
 
     def test_only_empty_rows_spill(self, tmp_path):
         empty = [SparseExample(1, np.empty(0, np.int64), np.empty(0))] * 3
